@@ -11,7 +11,6 @@ quadrature / closed-form / Monte Carlo routes to the noncorrectable-error
 probability.
 """
 
-from ._kernels import HAS_NUMBA, USING_NUMBA
 from .analysis import (
     PeResult,
     SweepSpec,
@@ -93,6 +92,11 @@ from .weyl_algebra import (
 )
 
 __version__ = "0.1.0"
+
+# The package has no compiled kernel; these constants stay only because
+# benchmark environment records still read them.
+HAS_NUMBA = False
+USING_NUMBA = False
 
 __all__ = [
     "__version__",

@@ -1,74 +1,34 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Angular wavefunction kernels and the tabulated inverse-CDF sampler.
 
-The one genuinely hot operation in this package is evaluating an angular
-wavefunction psi(theta) = sum_l a_l e^{i l theta} on a dense theta grid
-(angle distributions, inverse-CDF samplers, density plots).  For a state
-with a few thousand momentum components and a 10^5..10^6 point grid this
-is ~10^8 complex multiply-adds, which is worth a compiled loop.
+psi(theta) = sum_l a_l e^{i l theta} is evaluated two ways:
 
-Path selection: the numba kernel is used when numba imports cleanly and
-the environment variable ROTORCODE_DISABLE_NUMBA is not set to a truthy
-value ("1", "true", "yes").  Both paths produce the same result up to
-floating-point roundoff (the compiled loop uses an incremental phase
-rotation, the numpy path evaluates each phase directly).
+* on the uniform grid theta_j = -pi + 2 pi j / M by one inverse FFT of the
+  amplitudes folded mod M (angle distributions, angle samplers);
+* at scattered angles by a direct chunked sum (theta_wavefunction).
+
+The folding is integer arithmetic, so the grid path is exact for windows
+wider than M and for windows far from l = 0.
 """
 
 from __future__ import annotations
 
-import os
+import math
+from typing import Callable
 
 import numpy as np
 
-try:
-    from numba import njit
+from .errors import NumericalError
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # identity decorator so the jitted source doubles as plain python
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+TWO_PI = 2.0 * math.pi
 
 
-def _disabled_by_env() -> bool:
-    return os.environ.get("ROTORCODE_DISABLE_NUMBA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-@njit(cache=True)
-def _evaluate_psi_jit(amplitudes, l_min, thetas):  # pragma: no cover - compiled
+def evaluate_psi(amplitudes: np.ndarray, l_min: int, thetas: np.ndarray) -> np.ndarray:
+    """psi(theta_i) = sum_l amplitudes[l - l_min] * e^{i l theta_i}."""
+    amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+    ls = int(l_min) + np.arange(amplitudes.shape[0])
     out = np.empty(thetas.shape[0], dtype=np.complex128)
-    n = amplitudes.shape[0]
-    for i in range(thetas.shape[0]):
-        th = thetas[i]
-        # z = e^{i l_min th}, rotated by e^{i th} per momentum step
-        z = complex(np.cos(l_min * th), np.sin(l_min * th))
-        step = complex(np.cos(th), np.sin(th))
-        acc = 0.0 + 0.0j
-        for k in range(n):
-            acc += amplitudes[k] * z
-            z *= step
-        out[i] = acc
-    return out
-
-
-def _evaluate_psi_numpy(
-    amplitudes: np.ndarray, l_min: int, thetas: np.ndarray
-) -> np.ndarray:
-    """Direct dense evaluation, chunked to bound the phase-matrix allocation."""
-    ls = l_min + np.arange(amplitudes.shape[0])
-    out = np.empty(thetas.shape[0], dtype=np.complex128)
-    # ~32 MB of complex128 per chunk
+    # ~32 MB of complex128 per chunk of the phase matrix
     chunk = max(1, (2 << 20) // max(1, ls.shape[0]))
     for start in range(0, thetas.shape[0], chunk):
         block = thetas[start : start + chunk]
@@ -76,15 +36,46 @@ def _evaluate_psi_numpy(
     return out
 
 
-def evaluate_psi(amplitudes: np.ndarray, l_min: int, thetas: np.ndarray) -> np.ndarray:
-    """psi(theta_i) = sum_l amplitudes[l - l_min] * e^{i l theta_i}."""
-    amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    if USING_NUMBA:
-        return _evaluate_psi_jit(amplitudes, np.int64(l_min), thetas)
-    return _evaluate_psi_numpy(amplitudes, int(l_min), thetas)
+def psi_on_grid(amplitudes: np.ndarray, l_min: int, resolution: int) -> np.ndarray:
+    """psi at theta_j = -pi + 2 pi j / M, j = 0..M-1, for M = resolution.
+
+    psi(theta_j) = M ifft(b)_j with b_k = sum_{l = k (mod M)} (-1)^l a_l.
+    """
+    n = len(amplitudes)
+    M = int(resolution)
+    rows = -(-n // M)
+    folded = np.zeros(rows * M, dtype=np.complex128)
+    folded[:n] = amplitudes
+    # (-1)^l from the parity of l = l_min + i
+    folded[(int(l_min) + 1) % 2 : n : 2] *= -1.0
+    b = np.roll(folded.reshape(rows, M).sum(axis=0), int(l_min) % M)
+    return M * np.fft.ifft(b)
 
 
-USING_NUMBA = HAS_NUMBA and not _disabled_by_env()
+def grid_sampler(
+    densities: np.ndarray,
+) -> Callable[[np.random.Generator, int | None], np.ndarray | float]:
+    """Inverse-CDF sampler for a density tabulated at theta_j = -pi + 2 pi j / M.
 
-__all__ = ["evaluate_psi", "HAS_NUMBA", "USING_NUMBA"]
+    The M intervals close periodically through +pi; the cumulative
+    trapezoid is normalized and inverted by linear interpolation, so every
+    draw lies in [-pi, pi].  draw(rng, size) takes one uniform per draw.
+    """
+    dens = np.asarray(densities, dtype=np.float64)
+    M = dens.shape[0]
+    pts = -math.pi + TWO_PI * np.arange(M + 1) / M
+    closed = np.append(dens, dens[0])
+    steps = 0.5 * (closed[1:] + closed[:-1]) * np.diff(pts)
+    cdf = np.concatenate([[0.0], np.cumsum(steps)])
+    total = cdf[-1]
+    if not (math.isfinite(total) and total > 0.0):
+        raise NumericalError("angle density integrates to zero")
+    cdf /= total
+
+    def draw(rng: np.random.Generator, size: int | None = None):
+        return np.interp(rng.random(size), cdf, pts)
+
+    return draw
+
+
+__all__ = ["evaluate_psi", "psi_on_grid", "grid_sampler"]

@@ -24,7 +24,15 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .code_space import Approximant, CodeParams, _cos_height, _envelope_norm_sum, _tg_height
+from ._kernels import grid_sampler, psi_on_grid
+from .code_space import (
+    Approximant,
+    CodeParams,
+    _cos_height,
+    _envelope_norm_sum,
+    _envelope_reach,
+    _tg_height,
+)
 from .errors import NumericalError
 
 LOG10_FLOOR = -300.0  # below this, report value 0.0 and keep log10_value
@@ -69,7 +77,7 @@ def _angle_density(approx: Approximant) -> Callable[[np.ndarray], np.ndarray]:
         return dens
     if approx.family == "gaussian_envelope":
         sigma = p
-        reach = int(math.ceil(6.0 * sigma)) + 40
+        reach = _envelope_reach(sigma)
         ls = np.arange(1, reach + 1, dtype=np.float64)
         cs = np.exp(-(ls**2) / (2.0 * sigma**2))
         c_norm = _envelope_norm_sum(sigma)
@@ -219,32 +227,31 @@ def pe_pure_guess(m: int) -> PeResult:
 GRID_SIZE = 1 << 17
 
 
+def _grid_density(approx: Approximant) -> np.ndarray:
+    """The angle density at u_j = -pi + 2 pi j / GRID_SIZE, j < GRID_SIZE."""
+    if approx.family == "gaussian_envelope":
+        # Psi is the momentum series itself: one FFT instead of a cosine table
+        sigma = approx.parameter
+        reach = _envelope_reach(sigma)
+        ls = np.arange(-reach, reach + 1, dtype=np.float64)
+        psi = psi_on_grid(np.exp(-(ls**2) / (2.0 * sigma**2)), -reach, GRID_SIZE)
+        return np.abs(psi) ** 2 / _envelope_norm_sum(sigma) / (2.0 * math.pi)
+    grid = -math.pi + 2.0 * math.pi * np.arange(GRID_SIZE) / GRID_SIZE
+    return np.asarray(_angle_density(approx)(grid), dtype=np.float64)
+
+
 def angle_deviation_sampler(
     approx: Approximant,
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Inverse-CDF sampler for angular deviations u ~ |Psi(u)|^2 / 2pi.
 
     The cumulative distribution is tabulated once on a uniform grid of
-    2^17 intervals over (-pi, pi] and inverted by linear interpolation.
+    2^17 intervals over [-pi, pi] and inverted by linear interpolation.
     """
-    dens = _angle_density(approx)
-    grid = np.linspace(-math.pi, math.pi, GRID_SIZE + 1)
-    pdf = np.asarray(dens(grid), dtype=np.float64)
+    pdf = _grid_density(approx)
     if np.any(~np.isfinite(pdf)) or np.any(pdf < -1e-12):
         raise NumericalError("angle density evaluation failed")
-    pdf = np.clip(pdf, 0.0, None)
-    steps = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(steps)])
-    total = cdf[-1]
-    if total <= 0:
-        raise NumericalError("angle density integrates to zero")
-    cdf /= total
-
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        x = rng.random(size)
-        return np.interp(x, cdf, grid)
-
-    return draw
+    return grid_sampler(np.clip(pdf, 0.0, None))
 
 
 def pe_monte_carlo(

@@ -26,12 +26,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import NumericalError
 from .rotor_state import RotorState
 
 TAIL_TOL = 1e-12
+
+# Largest momentum window a codeword may span (512 MiB of complex128
+# amplitudes). A tiny cosine-power exponent or an explicit --window-half can
+# ask for terabytes; those fail with ValueError before anything is allocated.
+MAX_WINDOW_MOMENTA = 1 << 25
 
 FAMILIES = (
     "truncated_gaussian",
@@ -206,7 +211,18 @@ def default_window_half(
             need = max(need, int(math.ceil(6.0 * p + 10.0)))
         elif approx.family == "grating":
             need = max(need, int(p))
-    return m * int(math.ceil(need / m))
+    w = m * int(math.ceil(need / m))
+    _check_window_size(-w, w)
+    return w
+
+
+def _check_window_size(l_lo: int, l_hi: int) -> None:
+    count = l_hi - l_lo + 1
+    if count > MAX_WINDOW_MOMENTA:
+        raise ValueError(
+            f"momentum window [{l_lo}, {l_hi}] holds {count} momenta, more than "
+            f"the cap of {MAX_WINDOW_MOMENTA}"
+        )
 
 
 def ideal_comb(residue: int, period: int, l_lo: int, l_hi: int) -> RotorState:
@@ -215,6 +231,7 @@ def ideal_comb(residue: int, period: int, l_lo: int, l_hi: int) -> RotorState:
         raise ValueError("period must be >= 1")
     if l_hi < l_lo:
         raise ValueError("need l_lo <= l_hi")
+    _check_window_size(l_lo, l_hi)
     ls = np.arange(l_lo, l_hi + 1)
     mask = (ls - residue) % period == 0
     teeth = int(np.count_nonzero(mask))
@@ -244,11 +261,39 @@ def ideal_codeword(
     return state
 
 
-def _quad_cos_coefficient(psi, l: int) -> float:
-    val, _ = integrate.quad(
-        psi, 0.0, math.pi, weight="cos", wvar=float(l), epsabs=1e-13, limit=500
-    )
-    return val / math.pi
+# ln(Gamma(x+1/2) / Gamma(x+1)) + ln(x)/2 = sum_k _LOG_RATIO_SERIES[k] / x^(2k+1)
+# (Bernoulli-polynomial coefficients); the next term is below 3e-19 at x = 10
+_LOG_RATIO_SERIES = (
+    -1.0 / 8.0,
+    1.0 / 192.0,
+    -1.0 / 640.0,
+    17.0 / 14336.0,
+    -31.0 / 18432.0,
+    691.0 / 180224.0,
+    -5461.0 / 425984.0,
+    929569.0 / 15728640.0,
+    -3202291.0 / 8912896.0,
+)
+
+
+def _half_gamma_ratio(x: float) -> float:
+    """Gamma(x + 1/2) / Gamma(x + 1) for x > 0, to ~1e-15 relative.
+
+    A difference of log-gammas loses ~1e-12 relative by cancellation at
+    x ~ 10^4, so this sums the asymptotic series of the log ratio at
+    x >= 10 and reaches smaller x through Gamma(y + 1) = y Gamma(y).
+    """
+    steps = max(0, math.ceil(10.0 - x))
+    num = den = 1.0
+    for k in range(steps):
+        num *= x + k + 1.0
+        den *= x + k + 0.5
+    y = x + steps
+    t = 1.0 / (y * y)
+    acc = 0.0
+    for c in reversed(_LOG_RATIO_SERIES):
+        acc = acc * t + c
+    return math.exp(acc / y) / math.sqrt(y) * num / den
 
 
 def _tg_height(xi: float) -> float:
@@ -257,18 +302,41 @@ def _tg_height(xi: float) -> float:
 
 
 def _cos_height(gamma: float) -> float:
-    val, _ = integrate.quad(
-        lambda u: math.cos(0.5 * u) ** (2.0 * gamma),
-        -math.pi,
-        math.pi,
-        epsabs=1e-13,
-        limit=500,
-    )
-    return 2.0 * math.pi / math.sqrt(2.0 * math.pi * val)
+    # a^2 = 2 pi / Integral cos^(2 gamma)(u/2) du = sqrt(pi) Gamma(gamma+1) / Gamma(gamma+1/2)
+    return math.sqrt(math.sqrt(math.pi) / _half_gamma_ratio(gamma))
+
+
+def _tg_coefficients(xi: float, ls: np.ndarray) -> np.ndarray:
+    # (1/2pi) Integral_{-pi}^{pi} a e^{-xi^2 u^2 / 2} e^{-i l u} du: the
+    # untruncated Gaussian minus the two tails beyond +-pi, written through
+    # the Faddeeva function so nothing overflows
+    l = ls.astype(np.float64)
+    tails = special.wofz((l / xi + 1j * math.pi * xi) / math.sqrt(2.0)).real
+    sign = np.where(ls % 2 == 0, 1.0, -1.0)
+    edge = math.exp(-0.5 * (math.pi * xi) * (math.pi * xi))
+    bracket = np.exp(-0.5 * (l / xi) ** 2) - sign * edge * tails
+    return _tg_height(xi) / (xi * math.sqrt(2.0 * math.pi)) * bracket
+
+
+def _cos_coefficients(gamma: float, ls: np.ndarray) -> np.ndarray:
+    # c_l = a Gamma(gamma+1) / (2^gamma Gamma(gamma/2+l+1) Gamma(gamma/2-l+1)):
+    # c_0 by the duplication formula, then c_l / c_{l-1} = (h-l+1)/(h+l),
+    # h = gamma/2, which vanishes past l = h for even gamma
+    h = 0.5 * gamma
+    c0 = _cos_height(gamma) * _half_gamma_ratio(h) / math.sqrt(math.pi)
+    reach = int(np.max(np.abs(ls), initial=0))
+    js = np.arange(1, reach + 1, dtype=np.float64)
+    table = c0 * np.concatenate([[1.0], np.cumprod((h - js + 1.0) / (h + js))])
+    return table[np.abs(ls)]
+
+
+def _envelope_reach(sigma: float) -> int:
+    """Largest |l| kept in the Gaussian-envelope series."""
+    return int(math.ceil(6.0 * sigma)) + 40
 
 
 def _envelope_norm_sum(sigma: float) -> float:
-    reach = int(math.ceil(6.0 * sigma)) + 40
+    reach = _envelope_reach(sigma)
     ls = np.arange(-reach, reach + 1, dtype=np.float64)
     return float(np.sum(np.exp(-(ls**2) / sigma**2)))
 
@@ -278,13 +346,9 @@ def envelope_coefficients(approx: Approximant, ls: np.ndarray) -> np.ndarray:
     ls = np.asarray(ls, dtype=np.int64)
     p = approx.parameter
     if approx.family == "truncated_gaussian":
-        a = _tg_height(p)
-        psi = lambda u: a * math.exp(-0.5 * (p * u) ** 2)
-        return np.array([_quad_cos_coefficient(psi, int(l)) for l in ls])
+        return _tg_coefficients(p, ls)
     if approx.family == "cosine_power":
-        a = _cos_height(p)
-        psi = lambda u: a * math.cos(0.5 * u) ** p
-        return np.array([_quad_cos_coefficient(psi, int(l)) for l in ls])
+        return _cos_coefficients(p, ls)
     if approx.family == "gaussian_envelope":
         norm = math.sqrt(_envelope_norm_sum(p))
         return np.exp(-(ls.astype(np.float64) ** 2) / (2.0 * p**2)) / norm
@@ -315,6 +379,7 @@ def approx_basis_state(
     if l_lo is None or l_hi is None:
         w = default_window_half(params if params is not None else CodeParams(), approx)
         l_lo, l_hi = -w, w
+    _check_window_size(l_lo, l_hi)
     ls = np.arange(l_lo, l_hi + 1)
     cs = envelope_coefficients(approx, ls)
     _check_tail(cs, l_lo, l_hi)
@@ -341,6 +406,7 @@ def approx_codeword(
     if l_lo is None or l_hi is None:
         w = default_window_half(params, approx)
         l_lo, l_hi = -w, w
+    _check_window_size(l_lo, l_hi)
     ls = np.arange(l_lo, l_hi + 1)
     cs = envelope_coefficients(approx, ls)
     _check_tail(cs, l_lo, l_hi)
@@ -377,6 +443,7 @@ __all__ = [
     "LogicalLabels",
     "FAMILIES",
     "TAIL_TOL",
+    "MAX_WINDOW_MOMENTA",
     "logical_labels",
     "digits_to_k",
     "k_to_digits",

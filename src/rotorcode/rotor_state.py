@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import evaluate_psi
+from ._kernels import evaluate_psi, grid_sampler, psi_on_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,20 +188,30 @@ def fidelity(a: RotorState, b: RotorState) -> float:
     return float(abs(inner(a, b)) ** 2)
 
 
-def _reduce_angle(theta: float) -> float:
-    # IEEE remainder is exact for the given float input, so equal reduced
-    # angles give bit-identical wavefunction values
-    return math.remainder(theta, TWO_PI)
+def _reduce_angles(thetas: np.ndarray) -> np.ndarray:
+    """IEEE remainder of each angle by 2pi, the value math.remainder gives.
+
+    fmod and the one correcting step of 2pi are both exact, so equal reduced
+    angles give bit-identical wavefunction values.
+    """
+    if np.any(np.isinf(thetas)):
+        raise ValueError("theta must be finite")
+    r = np.fmod(thetas, TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, r)
+    r = np.where(r < -math.pi, r + TWO_PI, r)
+    # |r| = pi is a tie: math.remainder picks the even quotient
+    ties = np.nonzero(np.abs(r) == math.pi)[0]
+    r[ties] = [math.remainder(float(t), TWO_PI) for t in thetas[ties]]
+    return r
 
 
 def theta_wavefunction(s: RotorState, theta):
     """psi(theta) = sum_l a_l e^{i l theta}; 2pi-periodic, scalar or array theta."""
+    th = np.asarray(theta, dtype=np.float64)
+    out = evaluate_psi(s.amplitudes, s.l_min, _reduce_angles(th.ravel()))
     if np.isscalar(theta):
-        th = np.array([_reduce_angle(float(theta))])
-        return complex(evaluate_psi(s.amplitudes, s.l_min, th)[0])
-    th = np.array([_reduce_angle(float(t)) for t in np.asarray(theta).ravel()])
-    out = evaluate_psi(s.amplitudes, s.l_min, th)
-    return out.reshape(np.asarray(theta).shape)
+        return complex(out[0])
+    return out.reshape(th.shape)
 
 
 def angle_distribution(s: RotorState, resolution: int = 4096) -> AngleGrid:
@@ -211,7 +221,7 @@ def angle_distribution(s: RotorState, resolution: int = 4096) -> AngleGrid:
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     pts = -math.pi + TWO_PI * np.arange(resolution) / resolution
-    psi = evaluate_psi(s.amplitudes, s.l_min, pts)
+    psi = psi_on_grid(s.amplitudes, s.l_min, resolution)
     return AngleGrid(points=pts, densities=np.abs(psi) ** 2)
 
 
@@ -224,23 +234,12 @@ def sample_momentum(s: RotorState, rng: np.random.Generator) -> int:
     return int(s.l_min + rng.choice(probs.shape[0], p=probs))
 
 
-def _angle_cdf(grid: AngleGrid) -> tuple[np.ndarray, np.ndarray]:
-    # close the period at +pi, then cumulative trapezoid
-    pts = np.concatenate([grid.points, [grid.points[0] + TWO_PI]])
-    dens = np.concatenate([grid.densities, grid.densities[:1]])
-    seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(pts) / TWO_PI
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
-    return pts, cdf
-
-
 def sample_angle(
     s: RotorState, rng: np.random.Generator, resolution: int = 4096
 ) -> float:
     """Inverse-CDF draw of theta from |psi|^2, linear between grid points."""
     grid = angle_distribution(s, resolution)
-    pts, cdf = _angle_cdf(grid)
-    u = rng.uniform(0.0, cdf[-1])
-    return float(np.interp(u, cdf, pts))
+    return float(grid_sampler(grid.densities)(rng))
 
 
 __all__ = [

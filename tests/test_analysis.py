@@ -1,6 +1,7 @@
 """Noncorrectable-error probability routes against frozen reference values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,38 @@ def test_sampler_draws_match_the_density_tail():
     frac = np.mean(np.abs(us) > math.pi / 6.0)
     se = math.sqrt(p_ref * (1 - p_ref) / us.size)
     assert abs(frac - p_ref) < 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "family, parameter",
+    [("cosine_power", 0.3), ("gaussian_envelope", 0.2), ("grating", 1.0)],
+)
+def test_sampler_draws_stay_in_range_for_wide_densities(family, parameter):
+    # these densities keep mass at +-pi, where the tabulated CDF closes
+    us = angle_deviation_sampler(Approximant(family, parameter))(
+        np.random.default_rng(8), 20_000
+    )
+    assert np.all((us >= -math.pi) & (us <= math.pi))
+    assert np.max(np.abs(us)) > 3.0
+
+
+def test_gaussian_envelope_sampler_matches_quadrature_and_stays_small():
+    # sigma = 6144 = 2 m at N = 10, delta_L = 1: a cosine table would need 39 GB
+    tracemalloc.start()
+    try:
+        draw = angle_deviation_sampler(Approximant("gaussian_envelope", 6144.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    us = draw(np.random.default_rng(5), 200_000)
+    assert np.all((us >= -math.pi) & (us <= math.pi))
+    # at sigma = 8 the sampled tail agrees with the quadrature tail
+    approx = Approximant("gaussian_envelope", 8.0)
+    p_ref = pe_quadrature(approx, 24).value
+    us = angle_deviation_sampler(approx)(np.random.default_rng(6), 50_000)
+    frac = np.mean(np.abs(us) > math.pi / 24)
+    assert abs(frac - p_ref) < 4.0 * math.sqrt(p_ref * (1 - p_ref) / 50_000)
 
 
 def test_monte_carlo_is_seed_deterministic_and_consistent():

@@ -246,6 +246,7 @@ def test_pretty_format(capsys):
         (("pe", "--family", "trunc-gauss", "--xi", "2", "--method", "closd"), None),
         (("sweep", "--family", "trunc-gauss", "--grid", "1:2:0"), "at least one point"),
         (("roundtrip", "--trials", "8"), "--seed is required"),
+        (("codeword", "--family", "cos-power", "--gamma", "0.001"), "more than the cap"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):
@@ -263,6 +264,18 @@ def test_numerical_failure_exits_two(capsys):
     )
     assert code == 2
     assert "widen the window" in err
+
+
+def test_roundtrip_gaussian_envelope_at_ten_qubits(capsys):
+    code, out, err = run_cli(
+        capsys, "roundtrip", "--N", "10", "--family", "gauss-env", "--sigma", "1536",
+        "--trials", "1000", "--seed", "4",
+    )
+    assert code == 0, err
+    comments, _, rows = parse_csv(out)
+    assert len(rows) == 1000
+    summary = next(c for c in comments if "state_fidelity=" in c)
+    assert float(summary.split("state_fidelity=")[1].split()[0]) > 1.0 - 1e-9
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -195,6 +195,50 @@ def test_cosine_power_even_exponent_is_bandlimited():
     assert cs2[11] / cs2[10] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [6.0, 7.5, 96.0, 4608.3, 9216.0])
+def test_cosine_power_coefficients_match_gamma_ratio(gamma):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    g = mp.mpf(gamma)
+    # c_l = a Gamma(g+1) / (2^g Gamma(g/2+l+1) Gamma(g/2-l+1)),
+    # a^2 = sqrt(pi) Gamma(g+1) / Gamma(g+1/2)
+    a = mp.sqrt(mp.sqrt(mp.pi) * mp.gamma(g + 1) / mp.gamma(g + mp.mpf(1) / 2))
+    scale = a * mp.gamma(g + 1) / mp.power(2, g)
+    reach = int(gamma / 2) + 40
+    ls = np.unique(np.linspace(-reach, reach, 161).astype(np.int64))
+    cs = envelope_coefficients(Approximant("cosine_power", gamma), ls)
+    ref = [float(scale * mp.rgamma(g / 2 + l + 1) * mp.rgamma(g / 2 - l + 1))
+           for l in ls.tolist()]
+    np.testing.assert_allclose(cs, ref, rtol=0, atol=1e-13)
+    if gamma % 2 == 0:
+        # bandlimited exactly, not to roundoff
+        assert np.all(cs[np.abs(ls) > gamma / 2] == 0.0)
+
+
+@pytest.mark.parametrize("N", [8, 9, 10])
+def test_trunc_gauss_codeword_at_xi_equal_m_keeps_envelope_mass(N):
+    params = CodeParams(2, N, 1)
+    approx = Approximant("truncated_gaussian", params.m)
+    word = logical_encode(params, 5, approx)
+    cs = envelope_coefficients(approx, word.ls)
+    assert float(np.sum(cs**2)) >= 1.0 - 1e-12
+
+
+def test_trunc_gauss_codeword_that_lost_mass_to_quadrature():
+    params = CodeParams(2, 6, 0)  # m = 64
+    approx = Approximant("truncated_gaussian", 26.29509364)
+    word = logical_encode(params, 17, approx)
+    assert float(np.sum(envelope_coefficients(approx, word.ls) ** 2)) >= 1.0 - 1e-12
+
+
+def test_tiny_cosine_power_exponent_fails_before_allocating():
+    approx = Approximant("cosine_power", 0.001)
+    with pytest.raises(ValueError, match="more than the cap"):
+        default_window_half(CodeParams(), approx)
+    with pytest.raises(ValueError, match="more than the cap"):
+        approx_codeword(CodeParams(), 0, Approximant("cosine_power", 6.0), -2**40, 2**40)
+
+
 def test_gaussian_envelope_coefficients():
     ls = np.arange(-40, 41)
     cs = envelope_coefficients(Approximant("gaussian_envelope", 3.0), ls)

@@ -18,7 +18,8 @@ from rotorcode import (
     sample_momentum,
     theta_wavefunction,
 )
-from rotorcode._kernels import _evaluate_psi_numpy
+from rotorcode._kernels import evaluate_psi
+from rotorcode.rotor_state import _reduce_angles
 
 
 def test_make_state_tight_hull_and_normalization():
@@ -201,5 +202,58 @@ def test_kernel_fallback_agrees_with_dispatcher():
     s = from_amplitudes(-128, amps)
     thetas = rng.uniform(-math.pi, math.pi, size=64)
     via_state = theta_wavefunction(s, thetas)
-    reference = _evaluate_psi_numpy(s.amplitudes, s.l_min, thetas)
+    reference = evaluate_psi(s.amplitudes, s.l_min, thetas)
     np.testing.assert_allclose(via_state, reference, atol=5e-12)
+
+
+def _grid_density_exact_phases(s, resolution):
+    # e^{i l theta_j} at theta_j = -pi + 2 pi j / M equals e^{2 pi i k / M} with
+    # k = l (j - M/2) mod M, reduced in integers so no phase loses accuracy
+    M = resolution
+    js = np.arange(M) - M // 2
+    k = np.outer(js, s.ls) % M
+    psi = np.exp(2j * math.pi * k / M) @ s.amplitudes
+    return np.abs(psi) ** 2
+
+
+@pytest.mark.parametrize(
+    "l_min, width, resolution",
+    [(-1500, 3001, 1024), (100_003, 400, 4096), (-7, 15, 16)],
+    ids=["window-wider-than-grid", "far-from-zero", "small"],
+)
+def test_fft_grid_density_equals_direct_sum(l_min, width, resolution):
+    rng = np.random.default_rng(l_min % 97)
+    amps = rng.normal(size=width) + 1j * rng.normal(size=width)
+    s = from_amplitudes(l_min, amps)
+    grid = angle_distribution(s, resolution)
+    reference = _grid_density_exact_phases(s, resolution)
+    assert np.max(np.abs(grid.densities - reference)) <= 1e-12 * np.max(reference)
+    np.testing.assert_array_equal(
+        grid.points, -math.pi + 2.0 * math.pi * np.arange(resolution) / resolution
+    )
+
+
+def test_angle_reduction_is_ieee_remainder():
+    rng = np.random.default_rng(23)
+    two_pi = 2.0 * math.pi
+    thetas = np.concatenate([
+        rng.uniform(-40.0, 40.0, size=500),
+        rng.uniform(-1e6, 1e6, size=100),
+        [0.0, -0.0, math.pi, -math.pi, two_pi, -two_pi, 3.0 * math.pi,
+         -3.0 * math.pi, 5.0 * math.pi, math.nextafter(math.pi, 4.0), 1e-300],
+    ])
+    got = _reduce_angles(thetas)
+    want = np.array([math.remainder(float(t), two_pi) for t in thetas])
+    np.testing.assert_array_equal(got, want)
+    assert np.all(np.abs(got) <= math.pi)
+    with pytest.raises(ValueError, match="finite"):
+        theta_wavefunction(make_state([(0, 1.0)]), [0.0, math.inf])
+
+
+def test_sample_angle_stays_in_range_when_density_peaks_at_pi():
+    # psi = 1 - e^{i theta}: |psi|^2 = 2 - 2 cos(theta), largest at +-pi
+    s = make_state([(0, 1.0), (1, -1.0)])
+    rng = np.random.default_rng(41)
+    draws = np.array([sample_angle(s, rng, resolution=16) for _ in range(2000)])
+    assert np.all((draws >= -math.pi) & (draws <= math.pi))
+    assert np.mean(np.abs(draws) > math.pi / 2.0) > 0.75
