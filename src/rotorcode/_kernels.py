@@ -26,13 +26,16 @@ def evaluate_psi(amplitudes: np.ndarray, l_min: int, thetas: np.ndarray) -> np.n
     """psi(theta_i) = sum_l amplitudes[l - l_min] * e^{i l theta_i}."""
     amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    ls = int(l_min) + np.arange(amplitudes.shape[0])
+    offsets = np.arange(amplitudes.shape[0])
     out = np.empty(thetas.shape[0], dtype=np.complex128)
     # ~32 MB of complex128 per chunk of the phase matrix
-    chunk = max(1, (2 << 20) // max(1, ls.shape[0]))
+    chunk = max(1, (2 << 20) // max(1, offsets.shape[0]))
     for start in range(0, thetas.shape[0], chunk):
         block = thetas[start : start + chunk]
-        out[start : start + chunk] = np.exp(1j * np.outer(block, ls)) @ amplitudes
+        # e^{i l_min theta} factored out, so |psi| keeps its accuracy at large |l|
+        out[start : start + chunk] = (
+            np.exp(1j * np.outer(block, offsets)) @ amplitudes
+        ) * np.exp(1j * int(l_min) * block)
     return out
 
 

@@ -69,10 +69,12 @@ def _angle_density(approx: Approximant) -> Callable[[np.ndarray], np.ndarray]:
         return dens
     if approx.family == "cosine_power":
         a2 = _cos_height(p) ** 2 / (2.0 * math.pi)
-        g = 2.0 * p
 
         def dens(u: np.ndarray) -> np.ndarray:
-            return a2 * np.cos(0.5 * u) ** g
+            # exp(gamma log1p(-sin^2(u/2))), -sin^2(u/2) = cosm1(u)/2: a rounded
+            # cos(u/2) raised to 2 gamma would lose ~2 gamma eps.  At u = +-pi
+            # xlog1py gives -inf (density 0) without a floating-point warning.
+            return a2 * np.exp(special.xlog1py(p, 0.5 * special.cosm1(u)))
 
         return dens
     if approx.family == "gaussian_envelope":

@@ -52,13 +52,8 @@ PARAM_FLAG = {
     "gauss-env": "sigma",
     "grating": "slits",
 }
-METHOD_BY_CLI = {
-    "quadrature": "quadrature",
-    "closed-form": "closed_form",
-    "asymptotic": "asymptotic",
-    "pure-guess": "pure_guess",
-    "monte-carlo": "monte_carlo",
-}
+CLI_BY_METHOD = {m: m.replace("_", "-") for m in analysis.METHODS}
+METHOD_BY_CLI = {v: k for k, v in CLI_BY_METHOD.items()}
 
 CHECK_TOL = 1e-12
 
@@ -136,7 +131,8 @@ def _code_params(s: Settings) -> CodeParams:
     )
 
 
-def _resolve_approx(s: Settings, allow_ideal: bool) -> Approximant | None:
+def _resolve_family(s: Settings, allow_ideal: bool) -> tuple[str, float] | None:
+    """The library family name and its parameter value; None for ideal."""
     fam = s.get("family", str, "ideal" if allow_ideal else None, required=not allow_ideal)
     if fam == "ideal":
         if not allow_ideal:
@@ -157,7 +153,12 @@ def _resolve_approx(s: Settings, allow_ideal: bool) -> Approximant | None:
     value = s.get(flag, float, None)
     if value is None:
         raise UsageError(f"family {fam} needs --{flag}")
-    return Approximant(FAMILY_BY_CLI[fam], value)
+    return FAMILY_BY_CLI[fam], value
+
+
+def _resolve_approx(s: Settings) -> Approximant | None:
+    resolved = _resolve_family(s, allow_ideal=True)
+    return None if resolved is None else Approximant(*resolved)
 
 
 def _parse_int_range(value: str | Sequence[str]) -> tuple[int, int]:
@@ -293,7 +294,7 @@ def cmd_tables(s: Settings) -> int:
 
 def cmd_codeword(s: Settings) -> int:
     params = _code_params(s)
-    approx = _resolve_approx(s, allow_ideal=True)
+    approx = _resolve_approx(s)
     k = s.get("k", int, 0)
     wh = s.get("window_half", int, None)
     if wh is None:
@@ -317,58 +318,35 @@ def cmd_codeword(s: Settings) -> int:
     return 0
 
 
-def _pe_rows(s: Settings, grid: list[float], command: str) -> int:
+def _emit_pe(s: Settings, command: str, family: str, grid: list[float]) -> int:
+    """One analysis.sweep row per grid value, in CLI spellings."""
     params = _code_params(s)
-    fam_cli = s.get("family", str, None, required=True)
-    if fam_cli == "ideal":
-        raise UsageError("p_e estimation needs a normalizable family, not ideal")
-    if fam_cli not in FAMILY_BY_CLI:
-        raise UsageError(f"unknown family {fam_cli!r}")
     method_cli = s.get("method", str, "quadrature")
     if method_cli not in METHOD_BY_CLI:
         raise UsageError(
             f"unknown method {method_cli!r}; choose from {', '.join(METHOD_BY_CLI)}"
         )
-    method = METHOD_BY_CLI[method_cli]
     trials = s.get("trials", int, 100_000)
     seed = s.get("seed", int, None)
-    if method == "monte_carlo" and seed is None:
+    if method_cli == "monte-carlo" and seed is None:
         raise UsageError("--seed is required with --method monte-carlo")
-    rng = np.random.default_rng(seed) if method == "monte_carlo" else None
+    spec = analysis.SweepSpec(
+        family, tuple(grid), code=params, method=METHOD_BY_CLI[method_cli],
+        trials=trials, seed=seed,
+    )
     rows = []
-    for p in grid:
-        res = analysis.compute_pe(
-            FAMILY_BY_CLI[fam_cli], p, params.m, method, trials=trials, rng=rng
+    for row in analysis.sweep(spec):
+        row.update(
+            family=CLI_BY_FAMILY[row["family"]], method=CLI_BY_METHOD[row["method"]]
         )
-        rows.append(
-            [
-                fam_cli,
-                params.N,
-                params.d,
-                params.delta_L,
-                p,
-                method_cli,
-                res.value,
-                res.log10_value,
-                res.error_estimate,
-                seed if method == "monte_carlo" else None,
-            ]
-        )
+        rows.append([row[c] for c in analysis.SWEEP_COLUMNS])
     _emit(s, command, list(analysis.SWEEP_COLUMNS), rows)
     return 0
 
 
 def cmd_pe(s: Settings) -> int:
-    fam_cli = s.get("family", str, None, required=True)
-    if fam_cli in PARAM_FLAG:
-        value = s.get(PARAM_FLAG[fam_cli], float, None)
-        if value is None:
-            raise UsageError(f"family {fam_cli} needs --{PARAM_FLAG[fam_cli]}")
-        for other in PARAM_FLAG.values():
-            if other != PARAM_FLAG[fam_cli] and s.flag_is_set(other):
-                raise UsageError(f"family {fam_cli} takes --{PARAM_FLAG[fam_cli]}, not --{other}")
-        return _pe_rows(s, [value], "pe")
-    raise UsageError(f"unknown family {fam_cli!r}")
+    family, value = _resolve_family(s, allow_ideal=False)
+    return _emit_pe(s, "pe", family, [value])
 
 
 def cmd_sweep(s: Settings) -> int:
@@ -379,12 +357,12 @@ def cmd_sweep(s: Settings) -> int:
     for flag in PARAM_FLAG.values():
         if s.flag_is_set(flag):
             raise UsageError("sweep takes the parameter grid via --grid, not a family flag")
-    return _pe_rows(s, grid, "sweep")
+    return _emit_pe(s, "sweep", FAMILY_BY_CLI[fam_cli], grid)
 
 
 def cmd_roundtrip(s: Settings) -> int:
     params = _code_params(s)
-    approx = _resolve_approx(s, allow_ideal=True)
+    approx = _resolve_approx(s)
     k = s.get("k", int, 0)
     epsilon = s.get("epsilon", float, 0.0)
     kick = s.get("kick", int, 0)

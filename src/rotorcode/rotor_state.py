@@ -130,12 +130,7 @@ def make_state(
     amps = np.zeros(l_max - l_min + 1, dtype=np.complex128)
     for l, a in entries:
         amps[l - l_min] = a
-    nrm = np.linalg.norm(amps)
-    if normalize:
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        amps = amps / nrm
-    return RotorState(l_min, l_max, amps, normalized=normalize or abs(nrm - 1.0) <= NORM_TOL)
+    return from_amplitudes(l_min, amps, normalize)
 
 
 def from_amplitudes(l_min: int, amplitudes: np.ndarray, normalize: bool = True) -> RotorState:

@@ -171,52 +171,6 @@ def momentum_shift(k: int) -> ShiftDiagonalOperator:
     )
 
 
-def _parity_diag(step: int) -> DiagonalFn:
-    def diag(ls: np.ndarray) -> np.ndarray:
-        return np.where((ls // step) % 2 == 0, 1.0, -1.0).astype(np.complex128)
-
-    return diag
-
-
-def qubit_Z(j: int, r: int = 1) -> ShiftDiagonalOperator:
-    """Z_j = (-1)^floor(l / (2^{j-1} r)): parity of the j-th digit."""
-    if j < 1 or r < 1:
-        raise ValueError("need j >= 1 and r >= 1")
-    return ShiftDiagonalOperator(((0, _parity_diag(2 ** (j - 1) * r)),), f"Z_{j}")
-
-
-def qubit_X(j: int, r: int = 1) -> ShiftDiagonalOperator:
-    """X_j = ((1+Z_j) V^{-s} + V^{s} (1+Z_j)) / 2 with s = 2^{j-1} r.
-
-    Expanded literally into four shift-diagonal terms with shifts +-s.
-    """
-    if j < 1 or r < 1:
-        raise ValueError("need j >= 1 and r >= 1")
-    s = 2 ** (j - 1) * r
-
-    def half(ls: np.ndarray) -> np.ndarray:
-        return np.full(ls.shape[0], 0.5, dtype=np.complex128)
-
-    def half_parity(ls: np.ndarray) -> np.ndarray:
-        return 0.5 * np.where((ls // s) % 2 == 0, 1.0, -1.0).astype(np.complex128)
-
-    def half_parity_shifted(ls: np.ndarray) -> np.ndarray:
-        # Z_j evaluated after the V^{-s} shift: (1/2) (-1)^{floor((l-s)/s)}
-        return 0.5 * np.where(((ls - s) // s) % 2 == 0, 1.0, -1.0).astype(
-            np.complex128
-        )
-
-    return ShiftDiagonalOperator(
-        (
-            (-s, half),
-            (-s, half_parity_shifted),
-            (s, half),
-            (s, half_parity),
-        ),
-        f"X_{j}",
-    )
-
-
 def qudit_pair(
     j: int, d: int, r: int = 1
 ) -> tuple[ShiftDiagonalOperator, ShiftDiagonalOperator]:
@@ -232,9 +186,14 @@ def qudit_pair(
     if j < 1 or r < 1:
         raise ValueError("need j >= 1 and r >= 1")
     s = d ** (j - 1) * r
+    # omega^p from a table that is exact at quarter turns (4p = 0 mod d)
+    p = np.arange(d)
+    roots = np.exp(2j * np.pi * p / d)
+    quarter = (4 * p) % d == 0
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * p[quarter] // d]
 
     def z_diag(ls: np.ndarray) -> np.ndarray:
-        return np.exp(2j * np.pi * ((ls // s) % d) / d)
+        return roots[(ls // s) % d]
 
     def digit_top_after_shift(ls: np.ndarray) -> np.ndarray:
         # indicator of digit d-1, evaluated where P_1 acts (after V^s)
@@ -252,6 +211,16 @@ def qudit_pair(
         f"X_{j}^({d})",
     )
     return Z, X
+
+
+def qubit_Z(j: int, r: int = 1) -> ShiftDiagonalOperator:
+    """Z_j = (-1)^floor(l / (2^{j-1} r)): the d = 2 qudit clock."""
+    return qudit_pair(j, 2, r)[0]
+
+
+def qubit_X(j: int, r: int = 1) -> ShiftDiagonalOperator:
+    """X_j: the d = 2 qudit raise, flipping digit j by V^{+-2^{j-1} r}."""
+    return qudit_pair(j, 2, r)[1]
 
 
 def phase_gate(j: int, k: int, r: int = 1) -> ShiftDiagonalOperator:
@@ -406,21 +375,27 @@ def invariant_residuals(
     """Action residuals of the defining operator identities, one per check.
 
     All residuals are exact zeros of the algebra (up to float rounding) for
-    a correct implementation.  With corrupt=True one term of X_1 is scaled
-    by (1 + 1e-6), which every X_1-involving identity must then flag.
+    a correct implementation.  The qubit pair is checked against the paper's
+    literal formulas Z = (-1)^floor(l/r), X = ((1+Z) V^{-r} + V^r (1+Z)) / 2.
+    With corrupt=True, X_1 gains the term 0.5e-6 V^{-r}; six identities
+    flag it (the others hold because V^{-r} anticommutes with Z_1 and
+    commutes with both stabilizers).
     """
     ps = random_probes(rng, count=probes)
     one = identity()
     X1, Z1 = qubit_X(1, r), qubit_Z(1, r)
     if corrupt:
-        k0, f0 = X1.terms[0]
         X1 = ShiftDiagonalOperator(
-            ((k0, (lambda f: (lambda ls: (1.0 + 1e-6) * np.asarray(f(ls))))(f0)),)
-            + X1.terms[1:],
-            "X_1(corrupted)",
+            X1.terms + scaled(momentum_shift(-r), 0.5e-6).terms, "X_1(corrupted)"
         )
+    # the literal qubit pair, the reference of the two "qudit d=2" rows
+    Z_lit = ShiftDiagonalOperator(((0, lambda ls: 1.0 - 2.0 * ((ls // r) % 2)),))
+    half_1pZ = scaled(ShiftDiagonalOperator(one.terms + Z_lit.terms), 0.5)
+    X_lit = ShiftDiagonalOperator(
+        compose(half_1pZ, momentum_shift(-r)).terms
+        + compose(momentum_shift(r), half_1pZ).terms
+    )
     X2, Z2 = qubit_X(2, r), qubit_Z(2, r)
-    Zq2, Xq2 = qudit_pair(1, 2, r)
     Zq3, Xq3 = qudit_pair(1, 3, r)
     omega = complex(np.exp(2j * np.pi / 3.0))
     R12, R21 = phase_gate(1, 2, r), phase_gate(2, 1, r)
@@ -440,8 +415,8 @@ def invariant_residuals(
         ("[X1, Z2] = 0", commutator_norm(X1, Z2, ps)),
         ("[X1, X2] = 0", commutator_norm(X1, X2, ps)),
         ("[Z1, Z2] = 0", commutator_norm(Z1, Z2, ps)),
-        ("qudit d=2 X matches qubit X", operator_difference_norm(Xq2, X1, ps)),
-        ("qudit d=2 Z matches qubit Z", operator_difference_norm(Zq2, Z1, ps)),
+        ("qudit d=2 X matches qubit X", operator_difference_norm(X1, X_lit, ps)),
+        ("qudit d=2 Z matches qubit Z", operator_difference_norm(Z1, Z_lit, ps)),
         (
             "d=3: X.X.X = 1",
             operator_difference_norm(compose(Xq3, compose(Xq3, Xq3)), one, ps),

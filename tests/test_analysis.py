@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from rotorcode import (
     pe_quadrature,
     sweep,
 )
-from rotorcode.analysis import LOG10_FLOOR, METHODS, SWEEP_COLUMNS
+from rotorcode.analysis import LOG10_FLOOR, METHODS, SWEEP_COLUMNS, _angle_density
 
 # Frozen reference values, computed from closed forms / exact antiderivatives
 # outside this package (error-function ratios, multiple-angle expansions of
@@ -67,6 +69,30 @@ def test_cosine_power_quadrature_reference_values(gm, expected):
     gamma, m = gm
     res = pe_quadrature(Approximant("cosine_power", gamma), m)
     assert res.value == pytest.approx(expected, abs=1e-11)
+
+
+def test_cosine_power_quadrature_keeps_precision_at_large_gamma():
+    # a rounded cos(u/2) raised to 2 gamma was 1.0e-11 relative off here
+    gamma, m = 471859.2, 3072
+    with mpmath.workdps(30):
+        g = mpmath.mpf(gamma)
+        a = mpmath.pi / m
+        height2 = mpmath.sqrt(mpmath.pi) * mpmath.gamma(g + 1) / mpmath.gamma(g + 0.5)
+        tail = mpmath.quad(
+            lambda u: mpmath.cos(u / 2) ** (2 * g), [a, a + 40 / mpmath.sqrt(g), mpmath.pi]
+        )
+        exact = float(height2 * tail / mpmath.pi)
+    res = pe_quadrature(Approximant("cosine_power", gamma), m)
+    assert res.value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 7.3])
+def test_cosine_power_density_vanishes_at_pi_without_warnings(gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = _angle_density(Approximant("cosine_power", gamma))
+        edges = dens(np.array([-math.pi, math.pi]))
+    assert np.array_equal(edges, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("lm, expected", sorted(GRATING_REFERENCE.items()))

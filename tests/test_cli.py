@@ -247,6 +247,7 @@ def test_pretty_format(capsys):
         (("sweep", "--family", "trunc-gauss", "--grid", "1:2:0"), "at least one point"),
         (("roundtrip", "--trials", "8"), "--seed is required"),
         (("codeword", "--family", "cos-power", "--gamma", "0.001"), "more than the cap"),
+        (("sweep", "--family", "trunc-gauss", "--grid", ","), "at least one parameter"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):

@@ -18,7 +18,7 @@ from rotorcode import (
     sample_momentum,
     theta_wavefunction,
 )
-from rotorcode._kernels import evaluate_psi
+from rotorcode._kernels import evaluate_psi, psi_on_grid
 from rotorcode.rotor_state import _reduce_angles
 
 
@@ -204,6 +204,18 @@ def test_kernel_fallback_agrees_with_dispatcher():
     via_state = theta_wavefunction(s, thetas)
     reference = evaluate_psi(s.amplitudes, s.l_min, thetas)
     np.testing.assert_allclose(via_state, reference, atol=5e-12)
+
+
+def test_scattered_psi_stays_accurate_far_from_zero_momentum():
+    # a direct e^{i l theta} sum loses ~|l| eps; at l_min = 1e6 that was
+    # 2.2e-10 of the peak against the integer-folded FFT grid
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=400) + 1j * rng.normal(size=400)
+    M = 4096
+    thetas = -math.pi + 2.0 * math.pi * np.arange(M) / M
+    scattered = np.abs(evaluate_psi(amps, 10**6, thetas)) ** 2
+    grid = np.abs(psi_on_grid(amps, 10**6, M)) ** 2
+    assert np.max(np.abs(scattered - grid)) <= 1e-13 * np.max(grid)
 
 
 def _grid_density_exact_phases(s, resolution):
