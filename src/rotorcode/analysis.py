@@ -8,8 +8,9 @@ original codeword.  The noncorrectable probability is the tail mass
 
 (with the angle density normalized as Integral |Psi|^2 du / 2pi = 1).
 
-Routes: adaptive quadrature for every family, a closed form and a large-
-squeezing asymptotic for the truncated-Gaussian family (kept numerically
+Routes: the quadrature method for every family (adaptive QUADPACK, except
+for the grating, whose tail is its exact Fejér series), a closed form and a
+large-squeezing asymptotic for the truncated-Gaussian family (kept numerically
 alive far below double underflow via log-space error functions), the
 no-information guess 1 - 1/m, and direct Monte Carlo over sampled angle
 deviations.
@@ -28,6 +29,7 @@ from ._kernels import grid_sampler, psi_on_grid
 from .code_space import (
     Approximant,
     CodeParams,
+    _check_window_size,
     _cos_height,
     _envelope_norm_sum,
     _envelope_reach,
@@ -103,56 +105,54 @@ def _angle_density(approx: Approximant) -> Callable[[np.ndarray], np.ndarray]:
     return dens
 
 
-def _grating_breakpoints(half: int, a: float) -> list[float]:
+def _grating_pe(half: int, m: int) -> PeResult:
+    """Tail of K = 2 L_M + 1 flat slits from the Fejér kernel's Fourier series
+    (coefficients 1 - k/K): p_e = (pi - a)/pi - (2/pi) sum_{k<K} (1 - k/K) sin(k a)/k
+    with a = pi/m. error_estimate bounds the rounding at 32 eps per unit of summed
+    |terms|: 4 eps to form a term, 28 along numpy's pairwise sum of a chunk."""
+    _check_window_size(-half, half)
     K = 2 * half + 1
-    pts = []
-    j = 1
-    while j * 2.0 * math.pi / K < math.pi:
-        z = j * 2.0 * math.pi / K
-        if z > a:
-            pts.append(z)
-        j += 1
-    return pts
+    chunk = 1 << 16  # terms per step: memory stays bounded for any slit count
+    mi = min(m, 2 * K)  # j below is k once m >= 2K; keeps a huge m out of int64
+    parts: list[float] = []
+    magnitude = 0.0
+    for k0 in range(1, K, chunk):
+        k = np.arange(k0, min(k0 + chunk, K), dtype=np.int64)
+        # sin(k pi/m) = (-1)^(k // m) sin(j pi/m), j = min(q, m - q) in [0, m/2]
+        q = k % mi
+        s = np.sin(np.minimum(q, mi - q) * (math.pi / m))
+        s[(k // mi) % 2 == 1] *= -1.0
+        t = s * (K - k) / (K * k)
+        parts.append(float(t.sum()))
+        magnitude += float(np.abs(t).sum())
+    p = (1.0 - 1.0 / m) - (2.0 / math.pi) * math.fsum(parts)
+    err = 32.0 * float(np.finfo(float).eps) * (1.0 + (2.0 / math.pi) * magnitude)
+    return PeResult(value=p, method="quadrature", error_estimate=err, log10_value=math.log10(p))
 
 
 def pe_quadrature(approx: Approximant, m: int) -> PeResult:
-    """Tail mass of the angle density beyond the correctable sector |u| < pi/m."""
+    """Tail mass beyond |u| < pi/m: QUADPACK to 1e-12, the Fejér series for grating."""
     if m < 2:
         raise ValueError("need comb period m >= 2")
+    if approx.family == "grating":
+        return _grating_pe(int(approx.parameter), m)
     a = math.pi / m
     dens = _angle_density(approx)
 
     def f(u: float) -> float:
         return float(dens(np.array([u]))[0])
 
-    pieces: list[tuple[float, float, list[float]]] = []
-    if approx.family == "grating":
-        pieces.append((a, math.pi, _grating_breakpoints(int(approx.parameter), a)))
-    else:
-        # Narrow densities keep all their tail mass in a thin boundary layer
-        # just above a; force the quadrature to look there.
-        if approx.family == "truncated_gaussian":
-            width = 1.0 / approx.parameter
-        elif approx.family == "gaussian_envelope":
-            width = 1.0 / approx.parameter
-        else:
-            width = 1.0 / math.sqrt(approx.parameter)
-        cut = a + 40.0 * width
-        if cut < math.pi:
-            pieces.append((a, cut, []))
-            pieces.append((cut, math.pi, []))
-        else:
-            pieces.append((a, math.pi, []))
+    # Narrow densities keep all their tail mass in a thin boundary layer
+    # just above a; force the quadrature to look there.
+    param = approx.parameter
+    width = 1.0 / (math.sqrt(param) if approx.family == "cosine_power" else param)
+    cut = a + 40.0 * width
+    pieces = [(a, cut), (cut, math.pi)] if cut < math.pi else [(a, math.pi)]
 
     total = 0.0
     err = 0.0
-    for lo, hi, pts in pieces:
-        if pts:
-            val, e = integrate.quad(
-                f, lo, hi, points=pts, epsabs=1e-12, epsrel=1e-12, limit=50 + 10 * len(pts)
-            )
-        else:
-            val, e = integrate.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
+    for lo, hi in pieces:
+        val, e = integrate.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
         total += val
         err += e
     p = 2.0 * total  # both tails

@@ -7,6 +7,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from rotorcode import (
     Approximant,
@@ -100,6 +103,81 @@ def test_grating_quadrature_reference_values(lm, expected):
     half, m = lm
     res = pe_quadrature(Approximant("grating", float(half)), m)
     assert res.value == pytest.approx(expected, abs=1e-11)
+
+
+SERIES_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def _grating_pe_by_quadrature(half, m):
+    # QUADPACK on the Dirichlet density, broken at its zeros 2 pi j / K
+    K = 2 * half + 1
+    a = math.pi / m
+    zeros = [2.0 * math.pi * j / K for j in range(1, half + 1)]
+    pts = [z for z in zeros if z > a]
+    val, _ = integrate.quad(
+        lambda u: (math.sin(K * u / 2) / math.sin(u / 2)) ** 2 / K, a, math.pi,
+        points=pts or None, epsabs=1e-13, epsrel=1e-13, limit=50 + 10 * len(pts),
+    )
+    return val / math.pi
+
+
+@SERIES_PROPERTY
+@given(half=st.integers(1, 200), m=st.integers(2, 400))
+def test_grating_series_matches_breakpoint_quadrature(half, m):
+    res = pe_quadrature(Approximant("grating", float(half)), m)
+    assert res.value == pytest.approx(_grating_pe_by_quadrature(half, m), abs=1e-12)
+    assert res.error_estimate < 1e-12
+
+
+@SERIES_PROPERTY
+@given(half=st.integers(1, 200), m=st.integers(2, 399))
+def test_grating_pe_is_non_decreasing_in_m(half, m):
+    approx = Approximant("grating", float(half))
+    assert pe_quadrature(approx, m + 1).value >= pe_quadrature(approx, m).value - 1e-15
+
+
+@pytest.mark.parametrize("half, m", [(96, 96), (6, 6), (150, 96), (1, 2), (40, 6)])
+def test_grating_series_matches_30_digit_integral(half, m):
+    K = 2 * half + 1
+    with mpmath.workdps(30):
+        a = mpmath.pi / m
+        zeros = [z for z in (2 * mpmath.pi * j / K for j in range(1, half + 1)) if z > a]
+        tail = mpmath.quad(
+            lambda u: (mpmath.sin(K * u / 2) / mpmath.sin(u / 2)) ** 2 / K,
+            [a, *zeros[::4], mpmath.pi],
+            method="gauss-legendre",
+        )
+        exact = float(tail / mpmath.pi)
+    assert abs(pe_quadrature(Approximant("grating", float(half)), m).value - exact) <= 5e-16
+
+
+def test_grating_series_takes_comb_periods_past_int64():
+    # N = 70 qubits, delta_L = 1: m = 3 * 2^70 does not fit a numpy int64
+    res = pe_quadrature(Approximant("grating", 6.0), 3 * 2**70)
+    assert res.value == pytest.approx(1.0, abs=1e-15)
+    assert res.error_estimate < 1e-12
+
+
+def test_grating_series_memory_stays_bounded_and_accurate():
+    # K = 2^21 + 1 slits: the terms are summed in fixed-size chunks
+    half, m = 1 << 20, 6
+    tracemalloc.start()
+    try:
+        res = pe_quadrature(Approximant("grating", float(half)), m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert res.error_estimate < 1e-12
+    # the same series with sin(k pi/m) from a 30-digit table over one period;
+    # sin(k * (pi/m)) in floats puts the sum 4.4e-15 off
+    K = 2 * half + 1
+    with mpmath.workdps(30):
+        table = np.array([float(mpmath.sin(mpmath.pi * r / m)) for r in range(2 * m)])
+    k = np.arange(1, K, dtype=np.int64)
+    terms = table[k % (2 * m)] * (K - k) / (K * k)
+    exact = (1.0 - 1.0 / m) - (2.0 / math.pi) * math.fsum(terms.tolist())
+    assert abs(res.value - exact) <= 5e-16
 
 
 def test_gaussian_envelope_matches_matched_width_gaussian():

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -295,3 +296,13 @@ def test_csv_floats_round_trip_at_full_precision(capsys):
     # '.17g' formatting is lossless for doubles
     assert math.isfinite(value)
     assert abs(value - 0.026321074921741405) < 1e-10
+
+
+def test_pe_grating_past_the_window_cap_exits_one_quickly(capsys):
+    # K = 2^25 + 1 slits: refused before any term is summed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pe", "--family", "grating", "--slits", "16777216", "--N", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "cap of 33554432" in err
