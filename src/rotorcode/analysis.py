@@ -9,11 +9,11 @@ original codeword.  The noncorrectable probability is the tail mass
 (with the angle density normalized as Integral |Psi|^2 du / 2pi = 1).
 
 Routes: the quadrature method for every family (adaptive QUADPACK, except
-for the grating, whose tail is its exact Fejér series), a closed form and a
-large-squeezing asymptotic for the truncated-Gaussian family (kept numerically
-alive far below double underflow via log-space error functions), the
-no-information guess 1 - 1/m, and direct Monte Carlo over sampled angle
-deviations.
+for the grating's exact Fejér series and the Gaussian envelope's exact image
+sum), a closed form and a large-squeezing asymptotic for the truncated-Gaussian
+family (kept numerically alive far below double underflow via log-space error
+functions), the no-information guess 1 - 1/m, and direct Monte Carlo over
+sampled angle deviations.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from ._kernels import grid_sampler, psi_on_grid
+from ._kernels import grid_sampler
 from .code_space import (
     Approximant,
     CodeParams,
     _check_window_size,
     _cos_height,
-    _envelope_norm_sum,
-    _envelope_reach,
+    _envelope_images,
     _tg_height,
 )
 from .errors import NumericalError
@@ -80,17 +79,18 @@ def _angle_density(approx: Approximant) -> Callable[[np.ndarray], np.ndarray]:
 
         return dens
     if approx.family == "gaussian_envelope":
-        sigma = p
-        reach = _envelope_reach(sigma)
-        ls = np.arange(1, reach + 1, dtype=np.float64)
-        cs = np.exp(-(ls**2) / (2.0 * sigma**2))
-        c_norm = _envelope_norm_sum(sigma)
+        s, images, even, odd = _envelope_images(p)
+        scale, h = s / (math.sqrt(math.pi) * (even + odd)), s / math.sqrt(2.0)
 
         def dens(u: np.ndarray) -> np.ndarray:
-            u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-            # Psi(u) = (c_0 + 2 sum_l c_l cos(l u)) / sqrt(C)
-            series = 1.0 + 2.0 * np.cos(np.outer(u, ls)) @ cs
-            return (series**2 / c_norm) / (2.0 * math.pi)
+            # scale (sum_n e^{-s^2 (u - 2 pi n)^2 / 2})^2 in place: new arrays cost 3x
+            t = np.empty_like(np.asarray(u, dtype=np.float64))
+            psi = np.zeros_like(t)
+            with np.errstate(over="ignore"):  # a far image's exponent: -inf, e^-inf = 0
+                for n in images:
+                    np.multiply(np.subtract(u, 2.0 * math.pi * n, out=t), h, out=t)
+                    psi += np.exp(np.negative(np.square(t, out=t), out=t), out=t)
+            return scale * psi**2
 
         return dens
     # grating: Dirichlet kernel of K = 2 L_M + 1 slits
@@ -130,12 +130,41 @@ def _grating_pe(half: int, m: int) -> PeResult:
     return PeResult(value=p, method="quadrature", error_estimate=err, log10_value=math.log10(p))
 
 
+def _envelope_pe(sigma: float, m: int) -> PeResult:
+    """Gaussian-envelope tail, p_e = [E (1 - J(a)) + O J(pi - a)] / (E + O) with a = pi/m
+    and 1 - J(b) = sum_{j>=0} [erfc(s (2 pi j + b)) - erfc(s (2 pi j + 2 pi - b))]
+    (README "p_e by quadrature"). erfc ratios go through erfcx, so ln p_e survives
+    underflow; error_estimate bounds the rounding: (32 + 4 x0^2) eps p_e."""
+    s, images, even, odd = _envelope_images(sigma)
+    w = 2.0 * math.pi * s
+    if math.isinf(w):
+        raise ValueError(f"sigma = {sigma!r} puts 2 pi sigma past the double range")
+    x0 = math.pi * s / m
+    b = np.array([[x0], [0.5 * w - x0]])  # s a and s (pi - a)
+    js = images[images >= 0]
+    with np.errstate(over="ignore", divide="ignore"):  # far images: ln 0 = -inf
+        x, y = b + w * js, w * (js + 1.0) - b
+        # ln erfc(x_j) / erfc(x_0) and ln erfc(y_j) / erfc(x_j)
+        lx = np.log(special.erfcx(x) / special.erfcx(b)) - (w * js) * (x + b)
+        ly = np.log(special.erfcx(y) / special.erfcx(x)) - (w - 2.0 * b) * (x + y)
+        r = np.sum(np.exp(lx) * -np.expm1(ly), axis=1)
+    t_in, t_out = special.erfc(b[:, 0]) * r
+    p = float(even * t_in + odd * (1.0 - t_out)) / (even + odd)
+    # below the floor only the E term is left: O is e^{-pi^2 s^2 (1 - 1/m^2)} smaller
+    ln_e = math.log(special.erfcx(x0)) - x0 * x0 + math.log(r[0] * even / (even + odd))
+    log10 = math.log10(p) if p > 10.0**LOG10_FLOOR else ln_e / math.log(10.0)
+    err = (32.0 + 4.0 * x0 * x0) * float(np.finfo(float).eps) * p
+    return _with_floor(p, log10, "quadrature", err)
+
+
 def pe_quadrature(approx: Approximant, m: int) -> PeResult:
-    """Tail mass beyond |u| < pi/m: QUADPACK to 1e-12, the Fejér series for grating."""
+    """Tail mass beyond |u| < pi/m: QUADPACK to 1e-12, exact series for grating and gauss-env."""
     if m < 2:
         raise ValueError("need comb period m >= 2")
     if approx.family == "grating":
         return _grating_pe(int(approx.parameter), m)
+    if approx.family == "gaussian_envelope":
+        return _envelope_pe(approx.parameter, m)
     a = math.pi / m
     dens = _angle_density(approx)
 
@@ -160,9 +189,11 @@ def pe_quadrature(approx: Approximant, m: int) -> PeResult:
     return PeResult(value=p, method="quadrature", error_estimate=2.0 * err, log10_value=log10)
 
 
-def _log_erf(x: float) -> float:
-    # ln erf(x) for x > 0; erf underflows nowhere, only saturates at 1
-    return math.log(special.erf(x)) if x < 6.0 else 0.0
+def _with_floor(p: float, log10: float, method: str, err: float) -> PeResult:
+    """p_e and its log10; below LOG10_FLOOR the value 0.0, with the floor as error."""
+    if log10 < LOG10_FLOOR:
+        return PeResult(value=0.0, method=method, error_estimate=10.0**LOG10_FLOOR, log10_value=log10)
+    return PeResult(value=p, method=method, error_estimate=err, log10_value=log10)
 
 
 def pe_closed_form(xi: float, m: int) -> PeResult:
@@ -184,18 +215,10 @@ def pe_closed_form(xi: float, m: int) -> PeResult:
     lb = math.log(special.erfcx(b)) - b * b
     x = lb - la  # < 0 whenever m > 1
     ln_num = la + math.log(-math.expm1(x)) if x < 0 else -math.inf
-    ln_p = ln_num - _log_erf(b)
-    log10 = ln_p / math.log(10.0)
-
-    if log10 < LOG10_FLOOR:
-        return PeResult(
-            value=0.0,
-            method="closed_form",
-            error_estimate=10.0**LOG10_FLOOR,
-            log10_value=log10,
-        )
+    # ln erf(b): erf underflows nowhere, only saturates at 1
+    ln_p = ln_num - (math.log(special.erf(b)) if b < 6.0 else 0.0)
     p = (special.erfc(a) - special.erfc(b)) / special.erf(b)
-    return PeResult(value=p, method="closed_form", error_estimate=4.0 * abs(p) * 2.2e-16 + 5e-324, log10_value=log10)
+    return _with_floor(p, ln_p / math.log(10.0), "closed_form", 4.0 * abs(p) * 2.2e-16 + 5e-324)
 
 
 def pe_asymptotic(xi: float, m: int) -> PeResult:
@@ -206,16 +229,8 @@ def pe_asymptotic(xi: float, m: int) -> PeResult:
         raise ValueError("need comb period m >= 2")
     a = math.pi * xi / m
     ln_p = -a * a + math.log(m / (math.pi**1.5 * xi))
-    log10 = ln_p / math.log(10.0)
-    if log10 < LOG10_FLOOR:
-        return PeResult(
-            value=0.0,
-            method="asymptotic",
-            error_estimate=10.0**LOG10_FLOOR,
-            log10_value=log10,
-        )
     p = math.exp(ln_p)
-    return PeResult(value=p, method="asymptotic", error_estimate=p / (2.0 * a * a), log10_value=log10)
+    return _with_floor(p, ln_p / math.log(10.0), "asymptotic", p / (2.0 * a * a))
 
 
 def pe_pure_guess(m: int) -> PeResult:
@@ -229,19 +244,6 @@ def pe_pure_guess(m: int) -> PeResult:
 GRID_SIZE = 1 << 17
 
 
-def _grid_density(approx: Approximant) -> np.ndarray:
-    """The angle density at u_j = -pi + 2 pi j / GRID_SIZE, j < GRID_SIZE."""
-    if approx.family == "gaussian_envelope":
-        # Psi is the momentum series itself: one FFT instead of a cosine table
-        sigma = approx.parameter
-        reach = _envelope_reach(sigma)
-        ls = np.arange(-reach, reach + 1, dtype=np.float64)
-        psi = psi_on_grid(np.exp(-(ls**2) / (2.0 * sigma**2)), -reach, GRID_SIZE)
-        return np.abs(psi) ** 2 / _envelope_norm_sum(sigma) / (2.0 * math.pi)
-    grid = -math.pi + 2.0 * math.pi * np.arange(GRID_SIZE) / GRID_SIZE
-    return np.asarray(_angle_density(approx)(grid), dtype=np.float64)
-
-
 def angle_deviation_sampler(
     approx: Approximant,
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -250,7 +252,8 @@ def angle_deviation_sampler(
     The cumulative distribution is tabulated once on a uniform grid of
     2^17 intervals over [-pi, pi] and inverted by linear interpolation.
     """
-    pdf = _grid_density(approx)
+    grid = -math.pi + 2.0 * math.pi * np.arange(GRID_SIZE) / GRID_SIZE
+    pdf = np.asarray(_angle_density(approx)(grid), dtype=np.float64)
     if np.any(~np.isfinite(pdf)) or np.any(pdf < -1e-12):
         raise NumericalError("angle density evaluation failed")
     return grid_sampler(np.clip(pdf, 0.0, None))
@@ -291,14 +294,10 @@ def compute_pe(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "pure_guess":
         return pe_pure_guess(m)
-    if method == "closed_form":
+    if method in ("closed_form", "asymptotic"):
         if family != "truncated_gaussian":
-            raise ValueError("closed_form is only defined for truncated_gaussian")
-        return pe_closed_form(parameter, m)
-    if method == "asymptotic":
-        if family != "truncated_gaussian":
-            raise ValueError("asymptotic is only defined for truncated_gaussian")
-        return pe_asymptotic(parameter, m)
+            raise ValueError(f"{method} is only defined for truncated_gaussian")
+        return (pe_closed_form if method == "closed_form" else pe_asymptotic)(parameter, m)
     approx = Approximant(family, parameter)
     if method == "monte_carlo":
         if rng is None:
@@ -344,11 +343,7 @@ SWEEP_COLUMNS = (
 
 def sweep(spec: SweepSpec) -> list[dict[str, object]]:
     """Run the sweep; one row per parameter, schema SWEEP_COLUMNS."""
-    rng = (
-        np.random.default_rng(spec.seed)
-        if spec.method == "monte_carlo"
-        else None
-    )
+    rng = np.random.default_rng(spec.seed) if spec.method == "monte_carlo" else None
     rows: list[dict[str, object]] = []
     for p in spec.parameters:
         res = compute_pe(

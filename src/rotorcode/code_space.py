@@ -83,7 +83,8 @@ class Approximant:
     truncated_gaussian  xi      inverse angular width (squeezing)
     cosine_power        gamma   power of cos(u/2); even integers are
                                 exactly bandlimited to |l| <= gamma/2
-    gaussian_envelope   sigma   momentum-side Gaussian width
+    gaussian_envelope   sigma   momentum-side Gaussian width, no cut-off in l;
+                                angle profile sum_n e^{-sigma^2 (u - 2 pi n)^2 / 2}
     grating             L_M     flat momentum window |l| <= L_M
 
     The cosine-power profile is psi(u) ~ cos^gamma(u/2), so its angle
@@ -203,12 +204,10 @@ def default_window_half(
     need = 4 * m
     if approx is not None:
         p = approx.parameter
-        if approx.family == "truncated_gaussian":
+        if approx.family in ("truncated_gaussian", "gaussian_envelope"):
             need = max(need, int(math.ceil(6.0 * p + 10.0)))
         elif approx.family == "cosine_power":
             need = max(need, _cosine_window_need(p))
-        elif approx.family == "gaussian_envelope":
-            need = max(need, int(math.ceil(6.0 * p + 10.0)))
         elif approx.family == "grating":
             need = max(need, int(p))
     w = m * int(math.ceil(need / m))
@@ -330,15 +329,18 @@ def _cos_coefficients(gamma: float, ls: np.ndarray) -> np.ndarray:
     return table[np.abs(ls)]
 
 
-def _envelope_reach(sigma: float) -> int:
-    """Largest |l| kept in the Gaussian-envelope series."""
-    return int(math.ceil(6.0 * sigma)) + 40
-
-
-def _envelope_norm_sum(sigma: float) -> float:
-    reach = _envelope_reach(sigma)
-    ls = np.arange(-reach, reach + 1, dtype=np.float64)
-    return float(np.sum(np.exp(-(ls**2) / sigma**2)))
+def _envelope_images(sigma: float) -> tuple[float, np.ndarray, float, float]:
+    """(s, n, E, O) for the Poisson-summed envelope sum_l e^{-l^2/2s^2} e^{ilu} =
+    sqrt(2 pi) s sum_n e^{-s^2 (u - 2 pi n)^2 / 2}: images |n| <= ceil(2/s), each
+    dropped one below e^{-39} of the sum; E, O sum e^{-pi^2 s^2 n^2} over even and
+    odd n, and the squared norm sum_l e^{-l^2/s^2} is sqrt(pi) s (E + O)."""
+    # below sigma = 0.1 the angle density is 1/2pi to double precision: its
+    # first Fourier coefficient, 2 e^{-1/2 sigma^2}, is < 4e-22
+    s = max(sigma, 0.1)
+    n = np.arange(-math.ceil(2.0 / s), math.ceil(2.0 / s) + 1)
+    with np.errstate(over="ignore"):  # e^{-inf} = 0 past s ~ 1e153
+        w = np.exp(-((math.pi * (s * n)) ** 2))
+    return s, n, float(w[n % 2 == 0].sum()), float(w[n % 2 == 1].sum())
 
 
 def envelope_coefficients(approx: Approximant, ls: np.ndarray) -> np.ndarray:
@@ -350,7 +352,8 @@ def envelope_coefficients(approx: Approximant, ls: np.ndarray) -> np.ndarray:
     if approx.family == "cosine_power":
         return _cos_coefficients(p, ls)
     if approx.family == "gaussian_envelope":
-        norm = math.sqrt(_envelope_norm_sum(p))
+        s, _, even, odd = _envelope_images(p)
+        norm = math.sqrt(math.sqrt(math.pi) * s * (even + odd))
         return np.exp(-(ls.astype(np.float64) ** 2) / (2.0 * p**2)) / norm
     # grating
     half = int(p)

@@ -1,6 +1,7 @@
 """Noncorrectable-error probability routes against frozen reference values."""
 
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -187,6 +188,133 @@ def test_gaussian_envelope_matches_matched_width_gaussian():
     assert res.value == pytest.approx(TG_REFERENCE[(3.0, 6)], abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "sigma, m", [(96.0, 96), (768.0, 3072), (6144.0, 3072), (300.0, 96), (3.0, 6), (12.0, 2)]
+)
+def test_gaussian_envelope_image_sum_equals_closed_form_for_wide_sigma(sigma, m):
+    # for sigma >= 3 every image past the first is below e^{-pi^2 sigma^2} of
+    # the tail; a series cut at |l| = 6 sigma + 40 put (300, 96) at 1.7e-18,
+    # not 7.9e-44, and (768, 3072) 3.8e-10 off
+    res = pe_quadrature(Approximant("gaussian_envelope", sigma), m)
+    ref = pe_closed_form(sigma, m)
+    assert res.method == "quadrature"
+    assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert abs(res.value - ref.value) <= res.error_estimate
+    assert res.log10_value == pytest.approx(ref.log10_value, rel=1e-13)
+
+
+@pytest.mark.parametrize("sigma, m", [(16.0, 2), (12.0, 3), (30.0, 6)])
+def test_gaussian_envelope_error_estimate_covers_the_steep_tail(sigma, m):
+    # erfc(pi sigma / m) there turns the rounding of pi/m into ~5e-14 relative;
+    # the images past the first are below e^{-pi^2 sigma^2 (1 - 1/m^2)} of it
+    res = pe_quadrature(Approximant("gaussian_envelope", sigma), m)
+    with mpmath.workdps(40):
+        b = mpmath.pi * sigma
+        exact = float((mpmath.erfc(b / m) - mpmath.erfc(b)) / mpmath.erf(b))
+    assert abs(res.value - exact) <= res.error_estimate < 1e-12 * exact
+
+
+@pytest.mark.parametrize("sigma, m", [(1e5, 6), (1e9, 2), (30.0, 2)])
+def test_gaussian_envelope_below_floor_keeps_log_magnitude(sigma, m):
+    res = pe_quadrature(Approximant("gaussian_envelope", sigma), m)
+    assert res.value == 0.0
+    assert res.error_estimate == 10.0**LOG10_FLOOR
+    assert res.log10_value < LOG10_FLOOR
+    assert res.log10_value == pytest.approx(pe_closed_form(sigma, m).log10_value, rel=1e-12)
+
+
+def test_gaussian_envelope_past_float_squares_underflows_cleanly():
+    # (pi sigma / m)^2 overflows a double: p_e 0 and log10 -inf, as the
+    # closed form gives, and no floating-point warning on the way
+    approx = Approximant("gaussian_envelope", 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pe_quadrature(approx, 6)
+        us = angle_deviation_sampler(approx)(np.random.default_rng(2), 1000)
+    assert (res.value, res.log10_value) == (0.0, -math.inf)
+    assert res.log10_value == pe_closed_form(1e200, 6).log10_value
+    assert np.all(np.abs(us) < 1e-4)
+    with pytest.raises(ValueError, match="past the double range"):
+        pe_quadrature(Approximant("gaussian_envelope", 1e308), 6)
+
+
+def _envelope_pe_50_digits(sigma, m):
+    # psi ~ theta_3(u/2, q) = sum_l q^{l^2} e^{i l u}, q = e^{-1/2 sigma^2}: the
+    # whole momentum series, whose Poisson dual is the periodized Gaussian
+    with mpmath.workdps(50):
+        q = mpmath.exp(-1 / (2 * mpmath.mpf(sigma) ** 2))
+        norm = mpmath.jtheta(3, 0, q**2)
+        tail = mpmath.quad(lambda u: mpmath.jtheta(3, u / 2, q) ** 2, [mpmath.pi / m, mpmath.pi])
+        return float(tail / (norm * mpmath.pi))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.0])
+@pytest.mark.parametrize("m", [2, 6])
+def test_gaussian_envelope_matches_50_digit_integral(sigma, m):
+    # here the images matter: at sigma = 1, m = 2 the value is 4e-3 relative
+    # off the closed form of the single Gaussian
+    res = pe_quadrature(Approximant("gaussian_envelope", sigma), m)
+    exact = _envelope_pe_50_digits(sigma, m)
+    assert res.value == pytest.approx(exact, abs=1e-14)
+    assert abs(res.value - exact) <= res.error_estimate
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.7, 8.0])
+def test_gaussian_envelope_density_matches_the_momentum_series(sigma):
+    us = np.array([0.0, 0.1, 1.0, 2.5, math.pi])
+    dens = _angle_density(Approximant("gaussian_envelope", sigma))(us)
+    with mpmath.workdps(30):
+        q = mpmath.exp(-1 / (2 * mpmath.mpf(sigma) ** 2))
+        norm = mpmath.jtheta(3, 0, q**2)
+        exact = [float(mpmath.jtheta(3, u / 2, q) ** 2 / (2 * mpmath.pi * norm)) for u in us]
+    # 30 digits of a near-cancelling series: no reference below 1e-25 of the peak
+    np.testing.assert_allclose(dens, exact, rtol=1e-14, atol=1e-25 * max(exact))
+
+
+def test_gaussian_envelope_pe_needs_no_quadpack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QUADPACK called")
+
+    monkeypatch.setattr(integrate, "quad", refuse)
+    res = pe_quadrature(Approximant("gaussian_envelope", 6.0), 6)
+    assert res.value == pytest.approx(TG_REFERENCE[(6.0, 6)], rel=1e-13)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-3])
+@pytest.mark.parametrize("m", [2, 6])
+def test_gaussian_envelope_vanishing_sigma_is_flat_and_fast(sigma, m):
+    # the density is 1/2pi to double precision; the images stay few
+    approx = Approximant("gaussian_envelope", sigma)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        res = pe_quadrature(approx, m)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1e-3
+    assert res.value == pytest.approx(1.0 - 1.0 / m, abs=1e-15)
+
+
+@SERIES_PROPERTY
+@given(
+    log_sigma=st.floats(-3.0, 5.0),
+    widen=st.floats(1.0, 4.0),
+    m=st.integers(2, 4096),
+    step=st.integers(1, 64),
+)
+def test_gaussian_envelope_pe_is_monotone_in_sigma_and_m(log_sigma, widen, m, step):
+    sigma = 10.0**log_sigma
+    base = pe_quadrature(Approximant("gaussian_envelope", sigma), m)
+    wider = pe_quadrature(Approximant("gaussian_envelope", sigma * widen), m)
+    finer = pe_quadrature(Approximant("gaussian_envelope", sigma), m + step)
+    assert wider.value <= base.value + 1e-15
+    assert finer.value >= base.value - 1e-15
+    # underflowed values order by their log magnitude
+    if base.value == 0.0:
+        assert wider.log10_value <= base.log10_value * (1.0 - 1e-12)
+    if finer.value == 0.0:
+        assert finer.log10_value >= base.log10_value * (1.0 + 1e-12)
+
+
 def test_asymptotic_formula_and_regime():
     xi, m = 3.0, 2
     res = pe_asymptotic(xi, m)
@@ -274,16 +402,18 @@ def test_sampler_draws_stay_in_range_for_wide_densities(family, parameter):
 
 
 def test_gaussian_envelope_sampler_matches_quadrature_and_stays_small():
-    # sigma = 6144 = 2 m at N = 10, delta_L = 1: a cosine table would need 39 GB
-    tracemalloc.start()
-    try:
-        draw = angle_deviation_sampler(Approximant("gaussian_envelope", 6144.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    us = draw(np.random.default_rng(5), 200_000)
-    assert np.all((us >= -math.pi) & (us <= math.pi))
+    # sigma = 6144 = 2 m at N = 10, delta_L = 1: a cosine table would need 39 GB;
+    # at sigma = 1e8 a momentum series would need 6e8 terms, the images need 3
+    for sigma in (6144.0, 1e8):
+        tracemalloc.start()
+        try:
+            draw = angle_deviation_sampler(Approximant("gaussian_envelope", sigma))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        us = draw(np.random.default_rng(5), 200_000)
+        assert np.all((us >= -math.pi) & (us <= math.pi))
     # at sigma = 8 the sampled tail agrees with the quadrature tail
     approx = Approximant("gaussian_envelope", 8.0)
     p_ref = pe_quadrature(approx, 24).value

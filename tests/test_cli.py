@@ -306,3 +306,15 @@ def test_pe_grating_past_the_window_cap_exits_one_quickly(capsys):
     assert code == 1
     assert out == ""
     assert "cap of 33554432" in err
+
+
+def test_pe_gauss_env_at_huge_sigma_exits_zero_quickly(capsys):
+    # a momentum series cut at 6 sigma + 40 would need tens of GB here
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "pe", "--family", "gauss-env", "--sigma", "1e9", "--N", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["p_e"]) == 0.0
+    assert math.isfinite(float(row["log10_pe"]))

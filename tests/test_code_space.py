@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorcode import (
     Approximant,
@@ -81,6 +83,18 @@ def test_label_split_is_a_bijection(params):
         assert 0 <= lab.q < params.r
         assert all(0 <= p < params.d for p in lab.digits)
         assert reconstruct_momentum(lab, params) == l
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    N=st.integers(1, 4),
+    delta_L=st.integers(0, 3),
+    l=st.integers(-(10**6), 10**6),
+)
+def test_label_split_is_a_bijection_for_any_momentum(d, N, delta_L, l):
+    params = CodeParams(d=d, N=N, delta_L=delta_L)
+    assert reconstruct_momentum(logical_labels(l, params), params) == l
 
 
 def test_label_example_with_negative_momentum():
@@ -246,6 +260,15 @@ def test_gaussian_envelope_coefficients():
     assert cs[43] == pytest.approx(
         math.exp(-9.0 / 18.0) / math.sqrt(ENVELOPE_NORM_SIGMA3), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 0.05, 0.3, 0.7, 2.0, 40.0])
+def test_gaussian_envelope_coefficients_have_unit_norm(sigma):
+    # the image-sum norm against the direct momentum sum, to a few ulp
+    reach = int(12 * sigma) + 2
+    ls = np.arange(-reach, reach + 1)
+    cs = envelope_coefficients(Approximant("gaussian_envelope", sigma), ls)
+    assert math.fsum(cs**2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_grating_coefficients_are_flat():
