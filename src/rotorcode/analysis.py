@@ -8,22 +8,23 @@ original codeword.  The noncorrectable probability is the tail mass
 
 (with the angle density normalized as Integral |Psi|^2 du / 2pi = 1).
 
-Routes: the quadrature method for every family (adaptive QUADPACK, except
-for the grating's exact Fejér series and the Gaussian envelope's exact image
-sum), a closed form and a large-squeezing asymptotic for the truncated-Gaussian
-family (kept numerically alive far below double underflow via log-space error
-functions), the no-information guess 1 - 1/m, and direct Monte Carlo over
-sampled angle deviations.
+Routes: the quadrature method, an exact formula for every family (Fejér
+series, image sum, error-function ratio, incomplete beta function), a closed
+form and a large-squeezing asymptotic for the truncated-Gaussian family (kept
+numerically alive far below double underflow via log-space error functions),
+the no-information guess 1 - 1/m, and direct Monte Carlo over sampled angle
+deviations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from ._kernels import grid_sampler
 from .code_space import (
@@ -37,15 +38,16 @@ from .code_space import (
 from .errors import NumericalError
 
 LOG10_FLOOR = -300.0  # below this, report value 0.0 and keep log10_value
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class PeResult:
     """A noncorrectable-error probability with provenance.
 
-    value is 0.0 when the probability underflows double precision; in that
-    case log10_value still carries the magnitude and error_estimate is the
-    underflow threshold rather than a statistical/numerical error bar.
+    value is 0.0 below 10^LOG10_FLOOR; log10_value then still carries the
+    magnitude (None for the cosine power, which has no log-space route) and
+    error_estimate is that threshold rather than an error bar.
     """
 
     value: float
@@ -126,7 +128,7 @@ def _grating_pe(half: int, m: int) -> PeResult:
         parts.append(float(t.sum()))
         magnitude += float(np.abs(t).sum())
     p = (1.0 - 1.0 / m) - (2.0 / math.pi) * math.fsum(parts)
-    err = 32.0 * float(np.finfo(float).eps) * (1.0 + (2.0 / math.pi) * magnitude)
+    err = 32.0 * EPS * (1.0 + (2.0 / math.pi) * magnitude)
     return PeResult(value=p, method="quadrature", error_estimate=err, log10_value=math.log10(p))
 
 
@@ -153,40 +155,41 @@ def _envelope_pe(sigma: float, m: int) -> PeResult:
     # below the floor only the E term is left: O is e^{-pi^2 s^2 (1 - 1/m^2)} smaller
     ln_e = math.log(special.erfcx(x0)) - x0 * x0 + math.log(r[0] * even / (even + odd))
     log10 = math.log10(p) if p > 10.0**LOG10_FLOOR else ln_e / math.log(10.0)
-    err = (32.0 + 4.0 * x0 * x0) * float(np.finfo(float).eps) * p
+    err = (32.0 + 4.0 * x0 * x0) * EPS * p
     return _with_floor(p, log10, "quadrature", err)
 
 
 def pe_quadrature(approx: Approximant, m: int) -> PeResult:
-    """Tail mass beyond |u| < pi/m: QUADPACK to 1e-12, exact series for grating and gauss-env."""
+    """Tail mass beyond |u| < pi/m by each family's exact formula (README "p_e by quadrature").
+    error_estimate: a rounding bound relative to p_e (to the summed terms for the grating)."""
+    _check_period(m)
+    param = approx.parameter
+    if approx.family == "grating":
+        return _grating_pe(int(param), m)
+    if approx.family == "gaussian_envelope":
+        return _envelope_pe(param, m)
+    if approx.family == "truncated_gaussian":
+        # the closed form is this tail exactly; erfc's slope turns the rounding
+        # of a = pi xi / m into ~2 a^2 eps relative, as for gauss-env
+        res, a = pe_closed_form(param, m), math.pi * param / m
+        err = (32.0 + 4.0 * a * a) * EPS * res.value if res.value else res.error_estimate
+        return replace(res, method="quadrature", error_estimate=err)
+    # x = sin^2(u/2) makes cos^(2 gamma)(u/2) the Beta(1/2, gamma + 1/2) kernel; the
+    # complement of x0 = sin^2(pi/2m) keeps what a rounded cos^2(pi/2m) would lose
+    x0 = math.sin(0.5 * (math.pi / m)) ** 2
+    p = float(special.betaincc(0.5, param + 0.5, x0))
+    if p < 10.0**LOG10_FLOOR:  # subnormal: too few bits left, and no log-space route
+        return PeResult(value=0.0, method="quadrature", error_estimate=10.0**LOG10_FLOOR)
+    err = (8.0 + 4.0 * (param + 0.5) * x0) * EPS * p  # x0's rounding times the tail's slope
+    return PeResult(value=p, method="quadrature", error_estimate=err, log10_value=math.log10(p))
+
+
+def _check_period(m: int) -> None:
+    """Every p_e route divides by the comb period m as a float."""
     if m < 2:
         raise ValueError("need comb period m >= 2")
-    if approx.family == "grating":
-        return _grating_pe(int(approx.parameter), m)
-    if approx.family == "gaussian_envelope":
-        return _envelope_pe(approx.parameter, m)
-    a = math.pi / m
-    dens = _angle_density(approx)
-
-    def f(u: float) -> float:
-        return float(dens(np.array([u]))[0])
-
-    # Narrow densities keep all their tail mass in a thin boundary layer
-    # just above a; force the quadrature to look there.
-    param = approx.parameter
-    width = 1.0 / (math.sqrt(param) if approx.family == "cosine_power" else param)
-    cut = a + 40.0 * width
-    pieces = [(a, cut), (cut, math.pi)] if cut < math.pi else [(a, math.pi)]
-
-    total = 0.0
-    err = 0.0
-    for lo, hi in pieces:
-        val, e = integrate.quad(f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300)
-        total += val
-        err += e
-    p = 2.0 * total  # both tails
-    log10 = math.log10(p) if p > 0 else None
-    return PeResult(value=p, method="quadrature", error_estimate=2.0 * err, log10_value=log10)
+    if m > sys.float_info.max:
+        raise ValueError(f"comb period m >= 2^{m.bit_length() - 1} is past the double range")
 
 
 def _with_floor(p: float, log10: float, method: str, err: float) -> PeResult:
@@ -199,16 +202,18 @@ def _with_floor(p: float, log10: float, method: str, err: float) -> PeResult:
 def pe_closed_form(xi: float, m: int) -> PeResult:
     """Truncated-Gaussian tail in closed form: 1 - erf(pi xi / m) / erf(pi xi).
 
-    Evaluated as (erfc(a) - erfc(b)) / erf(b) with a = pi xi / m, b = pi xi,
-    and in log space through scaled complementary error functions when the
-    probability underflows double precision.
+    Evaluated as (erfc(a) - erfc(b)) / erf(b) with a = pi xi / m, b = pi xi
+    (erf for erfc below a = 1/2), and in log space through scaled complementary
+    error functions when the probability underflows double precision.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
-    if m < 2:
-        raise ValueError("need comb period m >= 2")
+    _check_period(m)
     a = math.pi * xi / m
     b = math.pi * xi
+    if a < 0.5:  # erfc(a) - erfc(b) cancels once erfc(a) > erf(a); p > 0.38 here
+        p = (special.erf(b) - special.erf(a)) / special.erf(b)
+        return _with_floor(p, math.log10(p), "closed_form", 4.0 * abs(p) * 2.2e-16 + 5e-324)
 
     # log-space magnitude, always available
     la = math.log(special.erfcx(a)) - a * a
@@ -225,8 +230,7 @@ def pe_asymptotic(xi: float, m: int) -> PeResult:
     """Large-squeezing leading term: m exp(-(pi xi / m)^2) / (pi^{3/2} xi)."""
     if xi <= 0:
         raise ValueError("xi must be positive")
-    if m < 2:
-        raise ValueError("need comb period m >= 2")
+    _check_period(m)
     a = math.pi * xi / m
     ln_p = -a * a + math.log(m / (math.pi**1.5 * xi))
     p = math.exp(ln_p)
@@ -235,8 +239,7 @@ def pe_asymptotic(xi: float, m: int) -> PeResult:
 
 def pe_pure_guess(m: int) -> PeResult:
     """No-information baseline: all m sectors equally likely, 1 - 1/m."""
-    if m < 2:
-        raise ValueError("need comb period m >= 2")
+    _check_period(m)
     p = 1.0 - 1.0 / m
     return PeResult(value=p, method="pure_guess", error_estimate=0.0, log10_value=math.log10(p))
 
@@ -263,8 +266,7 @@ def pe_monte_carlo(
     approx: Approximant, m: int, trials: int, rng: np.random.Generator
 ) -> PeResult:
     """Empirical tail fraction of sampled angular deviations, with binomial SE."""
-    if m < 2:
-        raise ValueError("need comb period m >= 2")
+    _check_period(m)
     if trials < 1:
         raise ValueError("need at least one trial")
     draw = angle_deviation_sampler(approx)

@@ -539,10 +539,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_config(args.config) if getattr(args, "config", None) else {}
         settings = Settings(args, cfg)
         return args.func(settings)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except ValueError as ex:
+    except ValueError as ex:  # UsageError included
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except NumericalError as ex:

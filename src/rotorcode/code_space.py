@@ -205,7 +205,7 @@ def default_window_half(
     if approx is not None:
         p = approx.parameter
         if approx.family in ("truncated_gaussian", "gaussian_envelope"):
-            need = max(need, int(math.ceil(6.0 * p + 10.0)))
+            need = max(need, math.ceil(min(6.0 * p + 10.0, MAX_WINDOW_MOMENTA)))  # 6p may be inf
         elif approx.family == "cosine_power":
             need = max(need, _cosine_window_need(p))
         elif approx.family == "grating":

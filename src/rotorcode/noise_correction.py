@@ -227,7 +227,6 @@ def run_round_trip(
         raise ValueError(f"unknown syndrome_mode {syndrome_mode!r}")
 
     m, r, n = params.m, params.r, params.n
-    sector = 2.0 * math.pi / m
 
     # state-level pass (deterministic for the fixed event)
     codeword = logical_encode(params, k, approx, l_lo, l_hi)
@@ -238,6 +237,7 @@ def run_round_trip(
         syndrome, post = measure_syndrome_expected(corrupted, params), corrupted
     corrected = correct(post, syndrome, params)
     state_fid = fidelity(corrected, codeword)
+    sector = 2.0 * math.pi / m  # after the encode, whose window check refuses a huge m
 
     # measurement-statistics pass
     if approx is None:

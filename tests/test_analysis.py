@@ -1,9 +1,13 @@
 """Noncorrectable-error probability routes against frozen reference values."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import rotorcode
 from rotorcode import (
     Approximant,
     CodeParams,
@@ -271,13 +276,150 @@ def test_gaussian_envelope_density_matches_the_momentum_series(sigma):
     np.testing.assert_allclose(dens, exact, rtol=1e-14, atol=1e-25 * max(exact))
 
 
-def test_gaussian_envelope_pe_needs_no_quadpack(monkeypatch):
+@pytest.mark.parametrize(
+    "family", ["truncated_gaussian", "cosine_power", "gaussian_envelope", "grating"]
+)
+def test_pe_quadrature_needs_no_quadpack(monkeypatch, family):
     def refuse(*args, **kwargs):
         raise AssertionError("QUADPACK called")
 
     monkeypatch.setattr(integrate, "quad", refuse)
-    res = pe_quadrature(Approximant("gaussian_envelope", 6.0), 6)
-    assert res.value == pytest.approx(TG_REFERENCE[(6.0, 6)], rel=1e-13)
+    res = pe_quadrature(Approximant(family, 6.0), 6)
+    reference = {
+        "truncated_gaussian": TG_REFERENCE[(6.0, 6)],
+        "cosine_power": COS_REFERENCE[(6.0, 6)],
+        "gaussian_envelope": TG_REFERENCE[(6.0, 6)],
+        "grating": GRATING_REFERENCE[(6, 6)],
+    }[family]
+    assert res.value == pytest.approx(reference, rel=1e-13)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(rotorcode.__file__).resolve().parents[1])
+    probe = "import sys, rotorcode; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def _tail_of_sampler_density(approx, m, width):
+    # the density the sampler draws from, integrated over both tails by mpmath
+    dens = _angle_density(approx)
+    a = math.pi / m
+    cut = [a + 40.0 * width] if a + 40.0 * width < math.pi else []
+    return 2.0 * float(
+        mpmath.quad(lambda u: float(dens(np.array([float(u)]))[0]), [a, *cut, math.pi])
+    )
+
+
+@pytest.mark.parametrize(
+    "family, parameter, m",
+    [
+        ("truncated_gaussian", 2.0, 6),
+        ("truncated_gaussian", 6.0, 6),
+        ("truncated_gaussian", 0.3, 2),
+        ("truncated_gaussian", 40.0, 96),
+        ("cosine_power", 6.0, 6),
+        ("cosine_power", 7.3, 6),
+        ("cosine_power", 0.5, 2),
+        ("cosine_power", 9000.0, 96),
+    ],
+)
+def test_pe_quadrature_matches_the_sampler_density(family, parameter, m):
+    width = 1.0 / (math.sqrt(parameter) if family == "cosine_power" else parameter)
+    approx = Approximant(family, parameter)
+    exact = _tail_of_sampler_density(approx, m, width)
+    assert pe_quadrature(approx, m).value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def _cos_power_pe_60_digits(gamma, m):
+    # I_{cos^2(pi/2m)}(gamma + 1/2, 1/2): the lower form, since the upper one
+    # cancels to nothing at 60 digits once p_e is below 1e-60
+    with mpmath.workdps(60):
+        c2 = mpmath.cos(mpmath.pi / (2 * m)) ** 2
+        return mpmath.betainc(mpmath.mpf(gamma) + 0.5, mpmath.mpf(0.5), 0, c2, regularized=True)
+
+
+@pytest.mark.parametrize(
+    "gamma, m",
+    [(236363.64, 32), (2273636.36, 1024), (1e7, 1024), (900.0, 2), (50.0, 3), (0.001, 2), (96.0, 96)],
+)
+def test_cosine_power_pe_is_the_incomplete_beta_tail(gamma, m):
+    # QUADPACK put (236363.64, 32) at 8.5104e-250, 0.54 % off; betainc on a
+    # rounded cos^2(pi/2m) put (2273636.36, 1024) 2.5e-10 off
+    res = pe_quadrature(Approximant("cosine_power", gamma), m)
+    exact = _cos_power_pe_60_digits(gamma, m)
+    assert res.value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.log10_value == pytest.approx(float(mpmath.log10(exact)), rel=1e-14)
+
+
+def test_cosine_power_pe_below_the_floor_is_zero_without_log():
+    # gamma = 3e5, m = 32: p_e = 1.8e-316 is subnormal, 7.8e-9 relative off
+    res = pe_quadrature(Approximant("cosine_power", 3e5), 32)
+    assert (res.value, res.log10_value, res.error_estimate) == (0.0, None, 10.0**LOG10_FLOOR)
+
+
+@pytest.mark.parametrize(
+    "xi, m", [(4.596807787, 6), (81.29551105, 96), (30.0, 6), (1e-9, 2), (1e-3, 32), (0.1, 2)]
+)
+def test_trunc_gauss_pe_matches_50_digit_error_functions(xi, m):
+    # QUADPACK was 6.9e-9 and 1.3e-9 relative off at the first two points; an
+    # erfc difference 3e-10 off at xi = 1e-9, where erfc(pi xi / m) is near 1
+    with mpmath.workdps(50):
+        b = mpmath.pi * mpmath.mpf(xi)
+        exact = (mpmath.erfc(b / m) - mpmath.erfc(b)) / mpmath.erf(b)
+    res = pe_quadrature(Approximant("truncated_gaussian", xi), m)
+    assert res.method == "quadrature"
+    assert res.value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.log10_value == pytest.approx(float(mpmath.log10(exact)), rel=1e-13, abs=1e-16)
+    assert pe_closed_form(xi, m).value == res.value
+
+
+@SERIES_PROPERTY
+@given(log_xi=st.floats(-3.0, 4.0), widen=st.floats(1.0, 4.0), m=st.integers(2, 4096), step=st.integers(1, 64))
+def test_trunc_gauss_pe_is_monotone_in_xi_and_m(log_xi, widen, m, step):
+    xi = 10.0**log_xi
+    base = pe_quadrature(Approximant("truncated_gaussian", xi), m)
+    wider = pe_quadrature(Approximant("truncated_gaussian", xi * widen), m)
+    finer = pe_quadrature(Approximant("truncated_gaussian", xi), m + step)
+    assert wider.value <= base.value + 1e-15
+    assert finer.value >= base.value - 1e-15
+    # underflowed values order by their log magnitude
+    if base.value == 0.0:
+        assert wider.log10_value <= base.log10_value * (1.0 - 1e-12)
+    if finer.value == 0.0:
+        assert finer.log10_value >= base.log10_value * (1.0 + 1e-12)
+
+
+@SERIES_PROPERTY
+@given(log_gamma=st.floats(-3.0, 7.0), widen=st.floats(1.0, 4.0), m=st.integers(2, 4096), step=st.integers(1, 64))
+def test_cosine_power_pe_is_monotone_in_gamma_and_m(log_gamma, widen, m, step):
+    gamma = 10.0**log_gamma
+    base = pe_quadrature(Approximant("cosine_power", gamma), m).value
+    assert pe_quadrature(Approximant("cosine_power", gamma * widen), m).value <= base + 1e-15
+    assert pe_quadrature(Approximant("cosine_power", gamma), m + step).value >= base - 1e-15
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda m: pe_quadrature(Approximant("cosine_power", 3.0), m),
+        lambda m: pe_closed_form(3.0, m),
+        lambda m: pe_asymptotic(3.0, m),
+        lambda m: pe_pure_guess(m),
+        lambda m: pe_monte_carlo(Approximant("grating", 3.0), m, 10, np.random.default_rng(0)),
+    ],
+    ids=["quadrature", "closed_form", "asymptotic", "pure_guess", "monte_carlo"],
+)
+def test_every_route_refuses_a_period_past_the_double_range(route):
+    with pytest.raises(ValueError, match=r"comb period m >= 2\^1101"):
+        route(3 * 2**1100)
+    with pytest.raises(ValueError, match="m >= 2"):
+        route(1)
 
 
 @pytest.mark.parametrize("sigma", [1e-9, 1e-3])

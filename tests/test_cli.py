@@ -249,6 +249,21 @@ def test_pretty_format(capsys):
         (("roundtrip", "--trials", "8"), "--seed is required"),
         (("codeword", "--family", "cos-power", "--gamma", "0.001"), "more than the cap"),
         (("sweep", "--family", "trunc-gauss", "--grid", ","), "at least one parameter"),
+        # m = 3 * 2^1100 has no double: every p_e route refuses it by name
+        (("pe", "--family", "trunc-gauss", "--xi", "3", "--N", "1100"), "comb period m"),
+        (("pe", "--family", "grating", "--slits", "3", "--N", "1100"), "comb period m"),
+        (("pe", "--family", "cos-power", "--gamma", "3", "--N", "1100"), "comb period m"),
+        (("pe", "--family", "gauss-env", "--sigma", "3", "--N", "1100"), "comb period m"),
+        (("pe", "--family", "trunc-gauss", "--xi", "3", "--N", "1100", "--method", "pure-guess"),
+         "comb period m"),
+        (("pe", "--family", "trunc-gauss", "--xi", "3", "--N", "1100", "--method", "closed-form"),
+         "comb period m"),
+        (("pe", "--family", "trunc-gauss", "--xi", "3", "--N", "1100", "--method", "asymptotic"),
+         "comb period m"),
+        # 6 sigma + 10 overflows a double on its way to the window size
+        (("codeword", "--family", "gauss-env", "--sigma", "1e308", "--N", "1"), "cap of 33554432"),
+        (("codeword", "--family", "trunc-gauss", "--xi", "1e308", "--N", "1"), "cap of 33554432"),
+        (("roundtrip", "--N", "1100", "--trials", "5", "--seed", "1"), "cap of 33554432"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):
