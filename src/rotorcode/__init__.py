@@ -45,7 +45,6 @@ from .code_space import (
 from .errors import NumericalError
 from .noise_correction import (
     ErrorEvent,
-    RoundTripRecord,
     RoundTripSummary,
     Syndrome,
     apply_error,
@@ -156,7 +155,6 @@ __all__ = [
     # noise and correction
     "ErrorEvent",
     "Syndrome",
-    "RoundTripRecord",
     "RoundTripSummary",
     "apply_error",
     "centered_angle",

@@ -168,12 +168,8 @@ def pe_quadrature(approx: Approximant, m: int) -> PeResult:
         return _grating_pe(int(param), m)
     if approx.family == "gaussian_envelope":
         return _envelope_pe(param, m)
-    if approx.family == "truncated_gaussian":
-        # the closed form is this tail exactly; erfc's slope turns the rounding
-        # of a = pi xi / m into ~2 a^2 eps relative, as for gauss-env
-        res, a = pe_closed_form(param, m), math.pi * param / m
-        err = (32.0 + 4.0 * a * a) * EPS * res.value if res.value else res.error_estimate
-        return replace(res, method="quadrature", error_estimate=err)
+    if approx.family == "truncated_gaussian":  # the closed form is this tail exactly
+        return replace(pe_closed_form(param, m), method="quadrature")
     # x = sin^2(u/2) makes cos^(2 gamma)(u/2) the Beta(1/2, gamma + 1/2) kernel; the
     # complement of x0 = sin^2(pi/2m) keeps what a rounded cos^2(pi/2m) would lose
     x0 = math.sin(0.5 * (math.pi / m)) ** 2
@@ -205,6 +201,8 @@ def pe_closed_form(xi: float, m: int) -> PeResult:
     Evaluated as (erfc(a) - erfc(b)) / erf(b) with a = pi xi / m, b = pi xi
     (erf for erfc below a = 1/2), and in log space through scaled complementary
     error functions when the probability underflows double precision.
+    error_estimate: (32 + 4 a^2) eps p_e, erfc's slope turning the rounding of
+    a into ~2 a^2 eps relative, as for gauss-env.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
@@ -213,7 +211,7 @@ def pe_closed_form(xi: float, m: int) -> PeResult:
     b = math.pi * xi
     if a < 0.5:  # erfc(a) - erfc(b) cancels once erfc(a) > erf(a); p > 0.38 here
         p = (special.erf(b) - special.erf(a)) / special.erf(b)
-        return _with_floor(p, math.log10(p), "closed_form", 4.0 * abs(p) * 2.2e-16 + 5e-324)
+        return _with_floor(p, math.log10(p), "closed_form", (32.0 + 4.0 * a * a) * EPS * p)
 
     # log-space magnitude, always available
     la = math.log(special.erfcx(a)) - a * a
@@ -222,8 +220,8 @@ def pe_closed_form(xi: float, m: int) -> PeResult:
     ln_num = la + math.log(-math.expm1(x)) if x < 0 else -math.inf
     # ln erf(b): erf underflows nowhere, only saturates at 1
     ln_p = ln_num - (math.log(special.erf(b)) if b < 6.0 else 0.0)
-    p = (special.erfc(a) - special.erfc(b)) / special.erf(b)
-    return _with_floor(p, ln_p / math.log(10.0), "closed_form", 4.0 * abs(p) * 2.2e-16 + 5e-324)
+    p = float((special.erfc(a) - special.erfc(b)) / special.erf(b))
+    return _with_floor(p, ln_p / math.log(10.0), "closed_form", (32.0 + 4.0 * a * a) * EPS * p)
 
 
 def pe_asymptotic(xi: float, m: int) -> PeResult:

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .code_space import (
     logical_encode,
 )
 from .errors import NumericalError
-from .noise_correction import ROUND_TRIP_COLUMNS, ErrorEvent, run_round_trip
+from .noise_correction import ErrorEvent, run_round_trip
 
 FAMILY_BY_CLI = {
     "trunc-gauss": "truncated_gaussian",
@@ -207,62 +207,67 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid {text!r}: {ex}") from ex
 
 
-def _fmt_cell(v: object) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+# (types, rule) in the order tried: bool before int, which it subclasses
+_RULES = (
+    ((bool, np.bool_), lambda v: "1" if v else "0"),
+    ((int, np.integer), lambda v: str(int(v))),
+    ((float, np.floating), lambda v: format(float(v), ".17g")),
+)
+
+
+def _fmt(values: object) -> str | list[str]:
+    """A scalar as one cell, or a column as a list of cells.
+
+    One rule serves the whole column, picked from the type of its first
+    entry that is not None: %.17g floats, decimal ints, 1/0 bools, str()
+    otherwise.  None is an empty cell.
+    """
+    column = isinstance(values, (list, tuple, range, np.ndarray))
+    items = values.tolist() if isinstance(values, np.ndarray) else values if column else [values]
+    sample = next((v for v in items if v is not None), None)
+    rule = next((f for types, f in _RULES if isinstance(sample, types)), str)
+    cells = ["" if v is None else rule(v) for v in items]
+    return cells if column else cells[0]
 
 
 def _emit(
     s: Settings,
     command: str,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    extra_comments: Sequence[str] = (),
+    table: dict[str, object],
+    comments: Sequence[str] = (),
 ) -> None:
+    """Write named columns as rows; a scalar column repeats on every row."""
     fmt = s.get("format", str, "csv")
     if fmt not in ("csv", "pretty"):
         raise UsageError(f"unknown format {fmt!r}; choose csv or pretty")
     out_path = s.get("output", str, None)
 
     config_items = " ".join(
-        f"{k}={_fmt_cell(v)}"
-        for k, v in sorted(s.used.items())
-        if k not in ("format", "output")
+        f"{k}={_fmt(v)}" for k, v in sorted(s.used.items()) if k not in ("format", "output")
     )
-    lines: list[str] = []
-    if fmt == "csv":
-        lines.append(f"# config: command={command} {config_items}".rstrip())
-        lines.extend(f"# {c}" for c in extra_comments)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
-        lines.extend(buf.getvalue().splitlines())
-    else:
-        cells = [[_fmt_cell(v) for v in row] for row in rows]
-        widths = [
-            max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-            for i, col in enumerate(columns)
-        ]
-        lines.append(f"[{command}] {config_items}".rstrip())
-        lines.extend(str(c) for c in extra_comments)
-        lines.append("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
-        for row in cells:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    cells = {name: _fmt(col) for name, col in table.items()}
+    n_rows = max((len(c) for c in cells.values() if isinstance(c, list)), default=1)
+    cells = {name: c if isinstance(c, list) else [c] * n_rows for name, c in cells.items()}
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            fh.write(f"# config: command={command} {config_items}".rstrip() + "\n")
+            fh.writelines(f"# {c}\n" for c in comments)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(cells.keys())
+            writer.writerows(zip(*cells.values()))
+        else:
+            widths = [max(map(len, (name, *col))) for name, col in cells.items()]
+            fh.write(f"[{command}] {config_items}".rstrip() + "\n")
+            fh.writelines(f"{c}\n" for c in comments)
+            fh.writelines(
+                "  ".join(v.ljust(w) for v, w in zip(row, widths)) + "\n"
+                for row in (cells.keys(), *zip(*cells.values()))
+            )
+
+
+def _columns(names: Sequence[str], rows: Sequence[Sequence[object]]) -> dict[str, list]:
+    """Rows of cells as named columns."""
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
 
 
 def cmd_tables(s: Settings) -> int:
@@ -272,23 +277,18 @@ def cmd_tables(s: Settings) -> int:
         if bits is None:
             bits = s.get("N", int, 3)
         lo, hi = _get_range(s, "-8:8")
-        rows_d = binary_table(lo, hi, bits)
-        columns = ["l"] + [f"b{j}" for j in range(1, bits + 1)]
-        rows = [[row["l"], *row["bits"]] for row in rows_d]
-        _emit(s, "tables", columns, rows)
+        names = ["l"] + [f"b{j}" for j in range(1, bits + 1)]
+        rows = [[row["l"], *row["bits"]] for row in binary_table(lo, hi, bits)]
+        _emit(s, "tables", _columns(names, rows))
         return 0
     params = _code_params(s)
     lo, hi = _get_range(s, f"-{params.m}:{params.m}")
-    rows_d = encoding_table(params, lo, hi)
-    columns = ["l", "q"] + [f"p{j}" for j in range(1, params.N + 1)] + [
-        "k",
-        "rotor_index",
-    ]
+    names = ["l", "q"] + [f"p{j}" for j in range(1, params.N + 1)] + ["k", "rotor_index"]
     rows = [
         [row["l"], row["q"], *row["digits"], row["k"], row["rotor_index"]]
-        for row in rows_d
+        for row in encoding_table(params, lo, hi)
     ]
-    _emit(s, "tables", columns, rows)
+    _emit(s, "tables", _columns(names, rows))
     return 0
 
 
@@ -303,18 +303,17 @@ def cmd_codeword(s: Settings) -> int:
         if wh < 1:
             raise UsageError("--window-half must be >= 1")
         state = logical_encode(params, k, approx, -wh, wh)
-    rows = []
-    for l in state.ls:
-        a = state.amplitude_at(int(l))
-        if a != 0:
-            rows.append([int(l), a.real, a.imag, abs(a) ** 2])
-    _emit(
-        s,
-        "codeword",
-        ["l", "amplitude_re", "amplitude_im", "probability"],
-        rows,
-        extra_comments=[f"window: [{state.l_min}, {state.l_max}]"],
-    )
+    teeth = np.flatnonzero(state.amplitudes)
+    amps = state.amplitudes[teeth]
+    table = {
+        "l": state.l_min + teeth,
+        "amplitude_re": amps.real,
+        "amplitude_im": amps.imag,
+        # Python's abs and ** (libm hypot and pow): numpy's np.abs(amps) ** 2 rounds
+        # differently in the last bit for ~0.2% of teeth
+        "probability": [abs(a) ** 2 for a in amps.tolist()],
+    }
+    _emit(s, "codeword", table, [f"window: [{state.l_min}, {state.l_max}]"])
     return 0
 
 
@@ -334,13 +333,11 @@ def _emit_pe(s: Settings, command: str, family: str, grid: list[float]) -> int:
         family, tuple(grid), code=params, method=METHOD_BY_CLI[method_cli],
         trials=trials, seed=seed,
     )
-    rows = []
-    for row in analysis.sweep(spec):
-        row.update(
-            family=CLI_BY_FAMILY[row["family"]], method=CLI_BY_METHOD[row["method"]]
-        )
-        rows.append([row[c] for c in analysis.SWEEP_COLUMNS])
-    _emit(s, command, list(analysis.SWEEP_COLUMNS), rows)
+    rows = analysis.sweep(spec)
+    table = {c: [row[c] for row in rows] for c in analysis.SWEEP_COLUMNS}
+    table["family"] = CLI_BY_FAMILY[family]
+    table["method"] = [CLI_BY_METHOD[method] for method in table["method"]]
+    _emit(s, command, table)
     return 0
 
 
@@ -388,27 +385,24 @@ def cmd_roundtrip(s: Settings) -> int:
     comment = (
         f"summary: trials={summary.trials} angle_errors={summary.angle_errors} "
         f"momentum_errors={summary.momentum_errors} errors={summary.errors} "
-        f"error_rate={_fmt_cell(summary.error_rate)} "
-        f"standard_error={_fmt_cell(summary.standard_error)} "
-        f"state_fidelity={_fmt_cell(summary.state_fidelity)}"
+        f"error_rate={_fmt(summary.error_rate)} "
+        f"standard_error={_fmt(summary.standard_error)} "
+        f"state_fidelity={_fmt(summary.state_fidelity)}"
     )
-    rows = [
-        [
-            rec.trial,
-            rec.u,
-            rec.theta_outcome,
-            rec.q_outcome,
-            rec.wrap,
-            rec.digit_shift,
-            rec.angle_error,
-            rec.momentum_error,
-            rec.fidelity,
-        ]
-        for rec in summary.records
-    ]
+    table = {
+        "trial": range(summary.trials),
+        "u": summary.u,
+        "theta_outcome": summary.theta_outcome,
+        "q_outcome": summary.q_outcome,
+        "wrap": summary.wrap,
+        "digit_shift": summary.digit_shift,
+        "angle_error": summary.angle_error,
+        "momentum_error": summary.momentum_error,
+        "fidelity": summary.state_fidelity,
+    }
     if s.get("format", str, "csv") == "pretty":
-        rows = []
-    _emit(s, "roundtrip", list(ROUND_TRIP_COLUMNS), rows, extra_comments=[comment])
+        table = dict.fromkeys(table, ())  # the header only
+    _emit(s, "roundtrip", table, [comment])
     return 0
 
 
@@ -420,20 +414,14 @@ def cmd_check(s: Settings) -> int:
     r = 2 * delta_L + 1
     rng = np.random.default_rng(seed)
     checks = weyl_algebra.invariant_residuals(r, rng, probes=probes, corrupt=corrupt)
-    rows = [
-        [name, residual, "PASS" if residual < CHECK_TOL else "FAIL"]
-        for name, residual in checks
-    ]
-    failures = sum(1 for row in rows if row[2] == "FAIL")
+    names, residuals = zip(*checks)
+    status = ["PASS" if residual < CHECK_TOL else "FAIL" for residual in residuals]
+    failures = status.count("FAIL")
     _emit(
         s,
         "check",
-        ["check", "residual", "status"],
-        rows,
-        extra_comments=[
-            f"threshold: {CHECK_TOL:.0e}",
-            f"failures: {failures}/{len(rows)}",
-        ],
+        {"check": names, "residual": residuals, "status": status},
+        [f"threshold: {CHECK_TOL:.0e}", f"failures: {failures}/{len(status)}"],
     )
     return 0 if failures == 0 else 2
 

@@ -231,15 +231,23 @@ def ideal_comb(residue: int, period: int, l_lo: int, l_hi: int) -> RotorState:
     if l_hi < l_lo:
         raise ValueError("need l_lo <= l_hi")
     _check_window_size(l_lo, l_hi)
-    ls = np.arange(l_lo, l_hi + 1)
-    mask = (ls - residue) % period == 0
-    teeth = int(np.count_nonzero(mask))
-    if teeth == 0:
+    amps = np.zeros(l_hi - l_lo + 1, dtype=np.complex128)
+    teeth = amps[_teeth(residue, period, l_lo)]
+    if teeth.size == 0:
         raise ValueError(
             f"no l = {residue} (mod {period}) inside [{l_lo}, {l_hi}]"
         )
-    amps = np.where(mask, 1.0 / math.sqrt(teeth), 0.0).astype(np.complex128)
+    teeth[:] = 1.0 / math.sqrt(teeth.size)
     return RotorState(l_lo, l_hi, amps, True)
+
+
+def _teeth(residue: int, period: int, l_lo: int) -> slice:
+    """Window indices of l = residue (mod period) for a window starting at l_lo.
+
+    Python ints throughout: a period past int64 gives at most one tooth, not
+    an OverflowError.
+    """
+    return slice((residue - l_lo) % period, None, period)
 
 
 def ideal_codeword(
@@ -413,8 +421,9 @@ def approx_codeword(
     ls = np.arange(l_lo, l_hi + 1)
     cs = envelope_coefficients(approx, ls)
     _check_tail(cs, l_lo, l_hi)
-    mask = (ls - k * params.r) % params.m == 0
-    amps = np.where(mask, cs, 0.0)
+    amps = np.zeros_like(cs)
+    teeth = _teeth(k * params.r, params.m, l_lo)
+    amps[teeth] = cs[teeth]
     teeth_mass = float(np.sum(np.abs(amps) ** 2))
     if int(np.count_nonzero(np.abs(amps) > 0.0)) < 2:
         raise ValueError(

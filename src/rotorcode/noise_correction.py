@@ -22,7 +22,7 @@ to the approximant's own spread: each trial draws a latent deviation u from
 the angle density and classifies the wrap of eps + u out of the sector as a
 logical phase error.  For the fixed channel the state-level pass is fully
 deterministic, so it is evaluated once per call and its fidelity is shared
-by all trial records.
+by every trial.
 """
 
 from __future__ import annotations
@@ -63,13 +63,22 @@ class Syndrome:
     q: int
 
 
-def centered_angle(x: float, period: float) -> tuple[float, int]:
-    """Reduce x into (-period/2, period/2]; return (residue, wrap count).
+def centered_angle(x: float | np.ndarray, period: float) -> tuple:
+    """Reduce x (a float or an array) into (-period/2, period/2]; return
+    (residue, wrap count), as (float, int) or (float64, int64) arrays.
 
     The boundary is tied upward: x = -period/2 maps to +period/2.
     """
-    w = math.ceil(x / period - 0.5)
-    return x - w * period, w
+    x = np.asarray(x, dtype=np.float64)
+    q = x / period
+    if not np.all(np.abs(q) < 2.0**63):
+        raise ValueError(f"angle must be finite and under 2^63 periods of {period!r} from 0")
+    # w = ceil(q - 1/2) without rounding q - 1/2, which turns q one ulp above -1/2
+    # into -1: rint and q - rint(q) are exact, and a tie at -1/2 wraps up to +1/2
+    w = np.rint(q)
+    wrap = (w - (q - w == -0.5)).astype(np.int64)
+    res = x - wrap * period  # an int wrap: x = -0.0 keeps its sign, as x - 0 * period does
+    return (float(res), int(wrap)) if x.ndim == 0 else (res, wrap)
 
 
 def centered_residue(value: int, r: int) -> int:
@@ -168,23 +177,13 @@ def correct(s: RotorState, syndrome: Syndrome, params: CodeParams) -> RotorState
 
 
 @dataclass(frozen=True)
-class RoundTripRecord:
-    """One modeled decode attempt."""
-
-    trial: int
-    u: float
-    theta_outcome: float
-    q_outcome: int
-    wrap: int
-    digit_shift: int
-    angle_error: bool
-    momentum_error: bool
-    fidelity: float
-
-
-@dataclass(frozen=True)
 class RoundTripSummary:
-    """Aggregate of a round-trip run; records hold the per-trial rows."""
+    """Aggregate of a round-trip run and its per-trial columns.
+
+    u, theta_outcome, wrap and angle_error are read-only arrays with one
+    entry per trial; q_outcome, digit_shift, momentum_error and
+    state_fidelity are shared by every trial.
+    """
 
     params: CodeParams
     k: int
@@ -197,7 +196,13 @@ class RoundTripSummary:
     error_rate: float
     standard_error: float
     state_fidelity: float
-    records: tuple[RoundTripRecord, ...] = field(repr=False)
+    q_outcome: int
+    digit_shift: int
+    momentum_error: bool
+    u: np.ndarray = field(repr=False)
+    theta_outcome: np.ndarray = field(repr=False)
+    wrap: np.ndarray = field(repr=False)
+    angle_error: np.ndarray = field(repr=False)
 
 
 def run_round_trip(
@@ -249,29 +254,12 @@ def run_round_trip(
     digit_shift = ((event.e - q_out) // r) % n
     momentum_error = digit_shift != 0
 
-    records = []
-    angle_errors = 0
-    for t in range(trials):
-        u = float(us[t])
-        theta_out, wrap = centered_angle(event.epsilon + u, sector)
-        a_err = wrap != 0
-        angle_errors += a_err
-        records.append(
-            RoundTripRecord(
-                trial=t,
-                u=u,
-                theta_outcome=theta_out,
-                q_outcome=q_out,
-                wrap=wrap,
-                digit_shift=digit_shift,
-                angle_error=a_err,
-                momentum_error=momentum_error,
-                fidelity=state_fid,
-            )
-        )
-
-    momentum_errors = trials if momentum_error else 0
-    errors = sum(1 for rec in records if rec.angle_error or rec.momentum_error)
+    theta_out, wrap = centered_angle(event.epsilon + us, sector)
+    angle_error = wrap != 0
+    for column in (us, theta_out, wrap, angle_error):
+        column.flags.writeable = False
+    angle_errors = int(np.count_nonzero(angle_error))
+    errors = trials if momentum_error else angle_errors
     rate = errors / trials
     se = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
     return RoundTripSummary(
@@ -281,34 +269,25 @@ def run_round_trip(
         e=event.e,
         trials=trials,
         angle_errors=angle_errors,
-        momentum_errors=momentum_errors,
+        momentum_errors=trials if momentum_error else 0,
         errors=errors,
         error_rate=rate,
         standard_error=se,
         state_fidelity=state_fid,
-        records=tuple(records),
+        q_outcome=q_out,
+        digit_shift=digit_shift,
+        momentum_error=momentum_error,
+        u=us,
+        theta_outcome=theta_out,
+        wrap=wrap,
+        angle_error=angle_error,
     )
-
-
-ROUND_TRIP_COLUMNS = (
-    "trial",
-    "u",
-    "theta_outcome",
-    "q_outcome",
-    "wrap",
-    "digit_shift",
-    "angle_error",
-    "momentum_error",
-    "fidelity",
-)
 
 
 __all__ = [
     "ErrorEvent",
     "Syndrome",
-    "RoundTripRecord",
     "RoundTripSummary",
-    "ROUND_TRIP_COLUMNS",
     "centered_angle",
     "centered_residue",
     "apply_error",

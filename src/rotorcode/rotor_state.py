@@ -106,7 +106,7 @@ class AngleGrid:
         """
         closed = np.concatenate([self.densities, self.densities[:1]])
         pts = np.concatenate([self.points, [self.points[0] + TWO_PI]])
-        return float(np.trapezoid(closed, pts) / TWO_PI)
+        return float(np.sum(np.diff(pts) * (closed[1:] + closed[:-1]) / 2.0) / TWO_PI)
 
 
 def make_state(

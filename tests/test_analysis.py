@@ -379,6 +379,18 @@ def test_trunc_gauss_pe_matches_50_digit_error_functions(xi, m):
     assert pe_closed_form(xi, m).value == res.value
 
 
+@pytest.mark.parametrize("xi, m", [(4.596807787, 2), (4.596807787, 6), (30.0, 6), (1e-9, 2)])
+def test_closed_form_error_estimate_covers_the_rounding_of_a(xi, m):
+    # 1.3e-15, 9.5e-16 and 6.9e-14 relative off at the first three points: past
+    # the old 4 eps p_e, which left out erfc's slope times the rounding of pi xi / m
+    with mpmath.workdps(50):
+        b = mpmath.pi * mpmath.mpf(xi)
+        exact = (mpmath.erfc(b / m) - mpmath.erfc(b)) / mpmath.erf(b)
+    res = pe_closed_form(xi, m)
+    assert abs(res.value - exact) <= res.error_estimate
+    assert res.error_estimate == pe_quadrature(Approximant("truncated_gaussian", xi), m).error_estimate
+
+
 @SERIES_PROPERTY
 @given(log_xi=st.floats(-3.0, 4.0), widen=st.floats(1.0, 4.0), m=st.integers(2, 4096), step=st.integers(1, 64))
 def test_trunc_gauss_pe_is_monotone_in_xi_and_m(log_xi, widen, m, step):

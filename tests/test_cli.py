@@ -264,6 +264,14 @@ def test_pretty_format(capsys):
         (("codeword", "--family", "gauss-env", "--sigma", "1e308", "--N", "1"), "cap of 33554432"),
         (("codeword", "--family", "trunc-gauss", "--xi", "1e308", "--N", "1"), "cap of 33554432"),
         (("roundtrip", "--N", "1100", "--trials", "5", "--seed", "1"), "cap of 33554432"),
+        # m = 2^70 is past int64: the teeth come from Python ints, one lands in the window
+        (("codeword", "--N", "70", "--window-half", "8"), "fewer than two comb teeth"),
+        (("codeword", "--N", "70", "--window-half", "8", "--family", "grating", "--slits", "3"),
+         "fewer than two comb teeth"),
+        (("roundtrip", "--N", "70", "--window-half", "8", "--trials", "5", "--seed", "1"),
+         "fewer than two comb teeth"),
+        # a wrap count past int64
+        (("roundtrip", "--epsilon", "1e300", "--trials", "5", "--seed", "1"), "2^63 periods"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorcode import (
     Approximant,
@@ -20,13 +22,16 @@ from rotorcode import (
     make_state,
     measure_syndrome_expected,
     measure_syndrome_sampled,
+    pe_monte_carlo,
     run_round_trip,
     theta_wavefunction,
 )
+from rotorcode import analysis
 from rotorcode.code_space import approx_codeword
 
 PARAMS = CodeParams(d=2, N=1, delta_L=1)  # r=3, n=2, m=6
 TWO_QUBIT = CodeParams(d=2, N=2, delta_L=1)  # r=3, n=4, m=12
+TIE_PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
 
 
 def test_centered_angle_reduction_and_ties():
@@ -41,6 +46,55 @@ def test_centered_angle_reduction_and_ties():
     assert wrap == -1
     res, wrap = centered_angle(math.pi, 2.0 * math.pi)
     assert (res, wrap) == (math.pi, 0)
+
+
+def test_centered_angle_keeps_one_ulp_above_the_lower_boundary():
+    # ceil(x / period - 0.5) rounded x / period = -1/2 + 2^-54 to a wrap of -1
+    period = 2.0 * math.pi / 6
+    x = math.nextafter(-period / 2, 0.0)
+    assert centered_angle(x, period) == (x, 0)
+    assert centered_angle(np.array([x]), period)[1].tolist() == [0]
+
+
+def test_centered_angle_refuses_what_int64_cannot_count():
+    for x in (math.nan, math.inf, 1e300, np.array([0.0, 1e20])):
+        with pytest.raises(ValueError, match="2\\^63 periods"):
+            centered_angle(x, 2.0 * math.pi / 6)
+
+
+@TIE_PROPERTY
+@given(m=st.integers(2, 10**12), xs=st.lists(st.floats(-1e6, 1e6), max_size=20))
+def test_array_centered_angle_is_the_scalar_one_bit_for_bit(m, xs):
+    period = 2.0 * math.pi / m
+    xs = np.array([*xs, -period / 2, period / 2, -0.0])
+    res, wrap = centered_angle(xs, period)
+    assert (res.dtype, wrap.dtype) == (np.float64, np.int64)
+    for x, r, w in zip(xs.tolist(), res.tolist(), wrap.tolist()):
+        scalar_r, scalar_w = centered_angle(x, period)
+        assert (scalar_r.hex(), scalar_w) == (r.hex(), w)
+    # both ties land on +period/2: -period/2 wraps once downward, +period/2 not at all
+    assert (res[-3], wrap[-3]) == (period / 2, -1)
+    assert (res[-2], wrap[-2]) == (period / 2, 0)
+
+
+@TIE_PROPERTY
+@given(m=st.integers(2, 10**12), us=st.lists(st.floats(-math.pi, math.pi), max_size=20))
+def test_centered_angle_wraps_exactly_outside_the_sector(m, us):
+    # pe_monte_carlo's test: the sector (-pi/m, pi/m] is correctable
+    a = math.pi / m
+    us = np.array([*us, a, -a, math.nextafter(a, 4.0), math.nextafter(-a, 0.0)])
+    wrapped = centered_angle(us, 2.0 * math.pi / m)[1] != 0
+    assert np.array_equal(wrapped, (us > a) | (us <= -a))
+
+
+@TIE_PROPERTY
+@given(m=st.integers(2, 10**12), inside=st.lists(st.booleans(), min_size=1, max_size=30))
+def test_pe_monte_carlo_keeps_plus_pi_over_m_and_drops_minus(m, inside):
+    us = np.where(inside, math.pi / m, -math.pi / m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "angle_deviation_sampler", lambda approx: lambda rng, n: us)
+        res = pe_monte_carlo(Approximant("grating", 1.0), m, len(inside), np.random.default_rng(0))
+    assert res.value == inside.count(False) / len(inside)
 
 
 @pytest.mark.parametrize(
@@ -152,12 +206,13 @@ def test_round_trip_ideal_in_bound_is_error_free():
     assert summary.error_rate == 0.0
     assert summary.state_fidelity == pytest.approx(1.0, abs=1e-12)
     assert summary.angle_errors == 0 and summary.momentum_errors == 0
-    assert len(summary.records) == 64
-    rec = summary.records[0]
-    assert rec.u == 0.0
-    assert rec.theta_outcome == pytest.approx(0.2)
-    assert rec.q_outcome == 1
-    assert not rec.angle_error and not rec.momentum_error
+    for column in (summary.u, summary.theta_outcome, summary.wrap, summary.angle_error):
+        assert column.shape == (64,)
+        assert not column.flags.writeable
+    assert np.all(summary.u == 0.0)
+    assert summary.theta_outcome == pytest.approx(np.full(64, 0.2))
+    assert summary.q_outcome == 1
+    assert not summary.angle_error.any() and not summary.momentum_error
 
 
 def test_round_trip_flags_angle_wrap_beyond_sector():
@@ -166,9 +221,9 @@ def test_round_trip_flags_angle_wrap_beyond_sector():
     summary = run_round_trip(PARAMS, 0, ErrorEvent(eps, 0), 16, rng)
     assert summary.angle_errors == 16
     assert summary.error_rate == 1.0
-    assert all(rec.wrap == 1 for rec in summary.records)
+    assert np.all(summary.wrap == 1)
     # the reduced angle re-centers into the sector
-    assert summary.records[0].theta_outcome == pytest.approx(eps - math.pi / 3)
+    assert summary.theta_outcome[0] == pytest.approx(eps - math.pi / 3)
 
 
 def test_round_trip_flags_out_of_bound_kick():
@@ -176,8 +231,37 @@ def test_round_trip_flags_out_of_bound_kick():
     summary = run_round_trip(PARAMS, 0, ErrorEvent(0.0, 2), 8, rng)
     assert summary.momentum_errors == 8
     assert summary.error_rate == 1.0
-    assert summary.records[0].digit_shift == 1
-    assert summary.records[0].q_outcome == -1
+    assert summary.digit_shift == 1
+    assert summary.q_outcome == -1
+
+
+def test_round_trip_sector_ties_like_pe_monte_carlo():
+    # PARAMS has m = 6: a drift of exactly +pi/6 is corrected, -pi/6 is not
+    for eps, angle_errors in ((math.pi / 6, 0), (-math.pi / 6, 8)):
+        summary = run_round_trip(PARAMS, 0, ErrorEvent(eps, 0), 8, np.random.default_rng(1))
+        assert summary.angle_errors == angle_errors
+        assert summary.theta_outcome.tolist() == [math.pi / 6] * 8
+
+
+@TIE_PROPERTY
+@given(
+    eps=st.one_of(st.floats(-1.5, 1.5), st.sampled_from([math.pi / 6, -math.pi / 6])),
+    kick=st.integers(-3, 3),
+    xi=st.one_of(st.none(), st.floats(2.0, 6.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_columns_agree_with_the_counts(eps, kick, xi, seed):
+    approx = None if xi is None else Approximant("truncated_gaussian", xi)
+    summary = run_round_trip(
+        PARAMS, 1, ErrorEvent(eps, kick), 40, np.random.default_rng(seed),
+        approx=approx, l_lo=-60, l_hi=60,
+    )
+    assert np.array_equal(summary.angle_error, summary.wrap != 0)
+    assert summary.angle_errors == np.count_nonzero(summary.angle_error)
+    assert summary.errors == np.count_nonzero(summary.angle_error | summary.momentum_error)
+    assert summary.momentum_errors == (40 if summary.momentum_error else 0)
+    for u, theta, w in zip(summary.u.tolist(), summary.theta_outcome.tolist(), summary.wrap.tolist()):
+        assert centered_angle(eps + u, 2.0 * math.pi / PARAMS.m) == (theta, w)
 
 
 def test_round_trip_approximant_rate_tracks_tail_mass():
