@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from ._kernels import grid_sampler
 from .code_space import (
@@ -71,6 +70,7 @@ def _angle_density(approx: Approximant) -> Callable[[np.ndarray], np.ndarray]:
 
         return dens
     if approx.family == "cosine_power":
+        from scipy import special  # scipy loads on first use: import rotorcode stays light
         a2 = _cos_height(p) ** 2 / (2.0 * math.pi)
 
         def dens(u: np.ndarray) -> np.ndarray:
@@ -137,6 +137,7 @@ def _envelope_pe(sigma: float, m: int) -> PeResult:
     and 1 - J(b) = sum_{j>=0} [erfc(s (2 pi j + b)) - erfc(s (2 pi j + 2 pi - b))]
     (README "p_e by quadrature"). erfc ratios go through erfcx, so ln p_e survives
     underflow; error_estimate bounds the rounding: (32 + 4 x0^2) eps p_e."""
+    from scipy import special
     s, images, even, odd = _envelope_images(sigma)
     w = 2.0 * math.pi * s
     if math.isinf(w):
@@ -170,6 +171,8 @@ def pe_quadrature(approx: Approximant, m: int) -> PeResult:
         return _envelope_pe(param, m)
     if approx.family == "truncated_gaussian":  # the closed form is this tail exactly
         return replace(pe_closed_form(param, m), method="quadrature")
+    from scipy import special
+
     # x = sin^2(u/2) makes cos^(2 gamma)(u/2) the Beta(1/2, gamma + 1/2) kernel; the
     # complement of x0 = sin^2(pi/2m) keeps what a rounded cos^2(pi/2m) would lose
     x0 = math.sin(0.5 * (math.pi / m)) ** 2
@@ -207,6 +210,7 @@ def pe_closed_form(xi: float, m: int) -> PeResult:
     if xi <= 0:
         raise ValueError("xi must be positive")
     _check_period(m)
+    from scipy import special
     a = math.pi * xi / m
     b = math.pi * xi
     if a < 0.5:  # erfc(a) - erfc(b) cancels once erfc(a) > erf(a); p > 0.38 here

@@ -20,7 +20,6 @@ failure (including failed invariant checks).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -207,35 +206,55 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid {text!r}: {ex}") from ex
 
 
-# (types, rule) in the order tried: bool before int, which it subclasses
-_RULES = (
-    ((bool, np.bool_), lambda v: "1" if v else "0"),
-    ((int, np.integer), lambda v: str(int(v))),
-    ((float, np.floating), lambda v: format(float(v), ".17g")),
-)
-
-
 def _fmt(values: object) -> str | list[str]:
     """A scalar as one cell, or a column as a list of cells.
 
-    One rule serves the whole column, picked from the type of its first
-    entry that is not None: %.17g floats, decimal ints, 1/0 bools, str()
-    otherwise.  None is an empty cell.
+    One % conversion serves the whole column, picked from the type of its
+    first entry that is not None: %d for ints and bools (1/0), %.17g for
+    floats, %s otherwise.  None is an empty cell.
     """
     column = isinstance(values, (list, tuple, range, np.ndarray))
     items = values.tolist() if isinstance(values, np.ndarray) else values if column else [values]
     sample = next((v for v in items if v is not None), None)
-    rule = next((f for types, f in _RULES if isinstance(sample, types)), str)
-    cells = ["" if v is None else rule(v) for v in items]
+    conv = "%d" if isinstance(sample, (int, np.integer, np.bool_)) else "%s"
+    conv = "%.17g" if isinstance(sample, (float, np.floating)) else conv
+    cells = ["" if v is None else conv % (v,) for v in items]
     return cells if column else cells[0]
 
 
-def _emit(
-    s: Settings,
-    command: str,
-    table: dict[str, object],
-    comments: Sequence[str] = (),
-) -> None:
+def _quote(cell: str) -> str:
+    """A cell as csv.QUOTE_MINIMAL writes it: quoted, with inner quotes doubled,
+    when it holds a comma, a quote, a newline or a carriage return."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv(table: dict[str, object]) -> str:
+    """The header and rows of a table as CSV, every row from one % template.
+
+    A scalar is formatted once into the template's text.  A range or an int or
+    bool array fills a %d slot and a float array a %.17g slot, the conversions
+    _fmt would pick; any other column is formatted by _fmt into a %s slot.
+    """
+    lone = '""' if len(table) == 1 else ""  # a lone empty cell: "", not a blank line
+    slots, columns = [], []
+    for col in table.values():
+        numeric = isinstance(col, np.ndarray) and col.dtype.kind in "biuf"
+        if numeric or isinstance(col, range):
+            slots.append("%.17g" if numeric and col.dtype.kind == "f" else "%d")
+            columns.append(col.tolist() if numeric else col)
+        elif isinstance(col, (list, tuple, np.ndarray)):
+            slots.append("%s")
+            columns.append([_quote(c) or lone for c in _fmt(col)])
+        else:
+            slots.append((_quote(_fmt(col)) or lone).replace("%", "%%"))
+    template = ",".join(slots) + "\n"
+    rows = zip(*columns) if columns or not table else [()]  # scalars alone make one row
+    return (",".join(map(_quote, table)) or lone) + "\n" + "".join(map(template.__mod__, rows))
+
+
+def _emit(s: Settings, command: str, table: dict[str, object], comments: Sequence[str] = ()):
     """Write named columns as rows; a scalar column repeats on every row."""
     fmt = s.get("format", str, "csv")
     if fmt not in ("csv", "pretty"):
@@ -245,17 +264,15 @@ def _emit(
     config_items = " ".join(
         f"{k}={_fmt(v)}" for k, v in sorted(s.used.items()) if k not in ("format", "output")
     )
-    cells = {name: _fmt(col) for name, col in table.items()}
-    n_rows = max((len(c) for c in cells.values() if isinstance(c, list)), default=1)
-    cells = {name: c if isinstance(c, list) else [c] * n_rows for name, c in cells.items()}
     with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
         if fmt == "csv":
             fh.write(f"# config: command={command} {config_items}".rstrip() + "\n")
             fh.writelines(f"# {c}\n" for c in comments)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cells.keys())
-            writer.writerows(zip(*cells.values()))
+            fh.write(_csv(table))
         else:
+            cells = {name: _fmt(col) for name, col in table.items()}
+            n_rows = max((len(c) for c in cells.values() if isinstance(c, list)), default=1)
+            cells = {name: c if isinstance(c, list) else [c] * n_rows for name, c in cells.items()}
             widths = [max(map(len, (name, *col))) for name, col in cells.items()]
             fh.write(f"[{command}] {config_items}".rstrip() + "\n")
             fh.writelines(f"{c}\n" for c in comments)
@@ -263,11 +280,6 @@ def _emit(
                 "  ".join(v.ljust(w) for v, w in zip(row, widths)) + "\n"
                 for row in (cells.keys(), *zip(*cells.values()))
             )
-
-
-def _columns(names: Sequence[str], rows: Sequence[Sequence[object]]) -> dict[str, list]:
-    """Rows of cells as named columns."""
-    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
 
 
 def cmd_tables(s: Settings) -> int:
@@ -279,7 +291,7 @@ def cmd_tables(s: Settings) -> int:
         lo, hi = _get_range(s, "-8:8")
         names = ["l"] + [f"b{j}" for j in range(1, bits + 1)]
         rows = [[row["l"], *row["bits"]] for row in binary_table(lo, hi, bits)]
-        _emit(s, "tables", _columns(names, rows))
+        _emit(s, "tables", dict(zip(names, zip(*rows))))
         return 0
     params = _code_params(s)
     lo, hi = _get_range(s, f"-{params.m}:{params.m}")
@@ -288,7 +300,7 @@ def cmd_tables(s: Settings) -> int:
         [row["l"], row["q"], *row["digits"], row["k"], row["rotor_index"]]
         for row in encoding_table(params, lo, hi)
     ]
-    _emit(s, "tables", _columns(names, rows))
+    _emit(s, "tables", dict(zip(names, zip(*rows))))
     return 0
 
 
@@ -297,21 +309,16 @@ def cmd_codeword(s: Settings) -> int:
     approx = _resolve_approx(s)
     k = s.get("k", int, 0)
     wh = s.get("window_half", int, None)
-    if wh is None:
-        state = logical_encode(params, k, approx)
-    else:
-        if wh < 1:
-            raise UsageError("--window-half must be >= 1")
-        state = logical_encode(params, k, approx, -wh, wh)
+    if wh is not None and wh < 1:
+        raise UsageError("--window-half must be >= 1")
+    state = logical_encode(params, k, approx, *((-wh, wh) if wh is not None else ()))
     teeth = np.flatnonzero(state.amplitudes)
     amps = state.amplitudes[teeth]
     table = {
         "l": state.l_min + teeth,
         "amplitude_re": amps.real,
         "amplitude_im": amps.imag,
-        # Python's abs and ** (libm hypot and pow): numpy's np.abs(amps) ** 2 rounds
-        # differently in the last bit for ~0.2% of teeth
-        "probability": [abs(a) ** 2 for a in amps.tolist()],
+        "probability": np.abs(amps) ** 2,
     }
     _emit(s, "codeword", table, [f"window: [{state.l_min}, {state.l_max}]"])
     return 0
@@ -372,15 +379,8 @@ def cmd_roundtrip(s: Settings) -> int:
     lo, hi = (-wh, wh) if wh is not None else (None, None)
     rng = np.random.default_rng(seed)
     summary = run_round_trip(
-        params,
-        k,
-        ErrorEvent(epsilon, kick),
-        trials,
-        rng,
-        approx=approx,
-        l_lo=lo,
-        l_hi=hi,
-        syndrome_mode=syndrome_mode,
+        params, k, ErrorEvent(epsilon, kick), trials, rng,
+        approx=approx, l_lo=lo, l_hi=hi, syndrome_mode=syndrome_mode,
     )
     comment = (
         f"summary: trials={summary.trials} angle_errors={summary.angle_errors} "
@@ -417,21 +417,14 @@ def cmd_check(s: Settings) -> int:
     names, residuals = zip(*checks)
     status = ["PASS" if residual < CHECK_TOL else "FAIL" for residual in residuals]
     failures = status.count("FAIL")
-    _emit(
-        s,
-        "check",
-        {"check": names, "residual": residuals, "status": status},
-        [f"threshold: {CHECK_TOL:.0e}", f"failures: {failures}/{len(status)}"],
-    )
+    comments = [f"threshold: {CHECK_TOL:.0e}", f"failures: {failures}/{len(status)}"]
+    _emit(s, "check", {"check": names, "residual": residuals, "status": status}, comments)
     return 0 if failures == 0 else 2
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="rotorcode",
-        description="Many qubits in one quantum rotor: tables, codewords, "
-        "error probabilities, correction round trips.",
-    )
+    parser = _Parser(prog="rotorcode", description="Many qubits in one quantum rotor: tables, "
+                     "codewords, error probabilities, correction round trips.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
@@ -442,13 +435,8 @@ def build_parser() -> _Parser:
         if code:
             p.add_argument("--d", type=int, default=None, help="qudit dimension (default 2)")
             p.add_argument("--N", type=int, default=None, help="register size (default 1)")
-            p.add_argument(
-                "--delta-L",
-                dest="delta_L",
-                type=int,
-                default=None,
-                help="protected kick range (default 0)",
-            )
+            p.add_argument("--delta-L", dest="delta_L", type=int, default=None,
+                           help="protected kick range (default 0)")
 
     def add_family(p: _Parser, with_ideal=True):
         choices = list(FAMILY_BY_CLI)
@@ -507,10 +495,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="operator invariant suite")
     add_common(p, code=False)
-    p.add_argument(
-        "--delta-L", dest="delta_L", type=int, default=None,
-        help="protected kick range fixing r = 2*delta_L + 1",
-    )
+    p.add_argument("--delta-L", dest="delta_L", type=int, default=None,
+                   help="protected kick range fixing r = 2*delta_L + 1")
     p.add_argument("--probes", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--corrupt", action="store_true", default=None,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError
 from .rotor_state import RotorState
@@ -304,6 +303,7 @@ def _half_gamma_ratio(x: float) -> float:
 
 
 def _tg_height(xi: float) -> float:
+    from scipy import special  # scipy loads on first use: import rotorcode stays light
     c = xi * math.sqrt(math.pi) * special.erf(math.pi * xi)
     return xi * math.sqrt(2.0 * math.pi) / math.sqrt(c)
 
@@ -317,6 +317,7 @@ def _tg_coefficients(xi: float, ls: np.ndarray) -> np.ndarray:
     # (1/2pi) Integral_{-pi}^{pi} a e^{-xi^2 u^2 / 2} e^{-i l u} du: the
     # untruncated Gaussian minus the two tails beyond +-pi, written through
     # the Faddeeva function so nothing overflows
+    from scipy import special
     l = ls.astype(np.float64)
     tails = special.wofz((l / xi + 1j * math.pi * xi) / math.sqrt(2.0)).real
     sign = np.where(ls % 2 == 0, 1.0, -1.0)

@@ -67,17 +67,24 @@ def centered_angle(x: float | np.ndarray, period: float) -> tuple:
     """Reduce x (a float or an array) into (-period/2, period/2]; return
     (residue, wrap count), as (float, int) or (float64, int64) arrays.
 
-    The boundary is tied upward: x = -period/2 maps to +period/2.
+    The boundary is tied upward: x = -period/2 maps to +period/2.  An x whose
+    residue the double cannot place in the sector (from about 2^52 periods
+    on) raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     q = x / period
     if not np.all(np.abs(q) < 2.0**63):
         raise ValueError(f"angle must be finite and under 2^63 periods of {period!r} from 0")
-    # w = ceil(q - 1/2) without rounding q - 1/2, which turns q one ulp above -1/2
-    # into -1: rint and q - rint(q) are exact, and a tie at -1/2 wraps up to +1/2
-    w = np.rint(q)
-    wrap = (w - (q - w == -0.5)).astype(np.int64)
+    wrap = np.rint(q).astype(np.int64)
     res = x - wrap * period  # an int wrap: x = -0.0 keeps its sign, as x - 0 * period does
+    # a tie, or x within an ulp of a sector edge (q rounds onto the half-integer), leaves
+    # res on or past an edge: one period more or less puts it in, exactly (Sterbenz's lemma),
+    # and a tie at -period/2 wraps up to +period/2
+    half = period / 2
+    step = (res > half).astype(np.int64) - (res <= -half)
+    wrap, res = wrap + step, res - step * period
+    if not np.all((res > -half) & (res <= half)):
+        raise ValueError(f"a double cannot reduce this angle into (-{half!r}, {half!r}]")
     return (float(res), int(wrap)) if x.ndim == 0 else (res, wrap)
 
 

@@ -294,14 +294,44 @@ def test_pe_quadrature_needs_no_quadpack(monkeypatch, family):
     assert res.value == pytest.approx(reference, rel=1e-13)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+SCIPY_FREE_PROBE = """
+import contextlib, io, sys
+import numpy as np
+
+def step(name, run=lambda: 0):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run()
+    print(name, code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+
+step("import")
+import rotorcode
+from rotorcode import cli, weyl_algebra as wa
+step("import rotorcode")
+step("tables", lambda: cli.main(["tables", "--N", "2"]))
+step("tables --binary", lambda: cli.main(["tables", "--binary"]))
+step("check", lambda: cli.main(["check", "--delta-L", "1", "--seed", "1"]))
+step("codeword ideal", lambda: cli.main(["codeword", "--family", "ideal", "--N", "3"]))
+params = rotorcode.CodeParams(d=2, N=2, delta_L=1)
+word = rotorcode.ideal_codeword(params, 1, -60, 60)
+op = wa.compose(wa.qubit_X(1, params.r), wa.phase_gate(1, 2, params.r))
+step("operator algebra", lambda: int(wa.apply(op, word).amplitudes.size == 0))
+"""
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special loads on first use, inside the functions that call it, so the
+    # package and every command that needs no envelope or p_e runs without it
     src = str(Path(rotorcode.__file__).resolve().parents[1])
-    probe = "import sys, rotorcode; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", SCIPY_FREE_PROBE], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    steps = [line.rsplit(" ", 2) for line in out.splitlines()]
+    assert [name for name, _, _ in steps] == [
+        "import", "import rotorcode", "tables", "tables --binary", "check",
+        "codeword ideal", "operator algebra",
+    ]
+    assert [step for step in steps if step[1:] != ["0", "False"]] == []
 
 
 def _tail_of_sampler_density(approx, m, width):

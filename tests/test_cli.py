@@ -1,14 +1,20 @@
 """Command-line surface: output contracts, config precedence, exit codes."""
 
+import argparse
+import contextlib
 import csv
+import io
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorcode import pe_closed_form
-from rotorcode.cli import main
+from rotorcode.cli import Settings, _emit, main
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +75,29 @@ def test_codeword_ideal_probabilities(capsys):
     probs = [float(r[3]) for r in rows]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     assert any("window:" in c for c in comments)
+
+
+# each family's parameter flag and a value that puts a few teeth in the window at period m
+FAMILY_AT_PERIOD = {
+    "trunc-gauss": ("--xi", lambda m: m / 2.4),
+    "cos-power": ("--gamma", lambda m: m * m / 2.0),
+    "gauss-env": ("--sigma", lambda m: m / 2.0),
+    "grating": ("--slits", lambda m: 2 * m),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_AT_PERIOD)
+def test_codeword_probability_is_the_correctly_rounded_square(capsys, family):
+    flag, value = FAMILY_AT_PERIOD[family]
+    for N in range(1, 7):
+        for k in ("0", "1"):
+            argv = ["codeword", "--N", str(N), "--delta-L", "1", "--k", k, "--family", family]
+            code, out, err = run_cli(capsys, *argv, flag, repr(value(3 * 2**N)))
+            assert code == 0, err
+            _, _, rows = parse_csv(out)
+            assert all(float(im) == 0.0 for _, _, im, _ in rows)  # every amplitude is real
+            for _, real, _, probability in rows:
+                assert float(probability) == float(Fraction(float(real)) ** 2)
 
 
 def test_codeword_family_flag(capsys):
@@ -272,6 +301,8 @@ def test_pretty_format(capsys):
          "fewer than two comb teeth"),
         # a wrap count past int64
         (("roundtrip", "--epsilon", "1e300", "--trials", "5", "--seed", "1"), "2^63 periods"),
+        # ~3e17 sectors: the double keeps no bits to place the residue in (-pi/2, pi/2]
+        (("roundtrip", "--epsilon", "1e18", "--trials", "3", "--seed", "1"), "cannot reduce"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):
@@ -341,3 +372,74 @@ def test_pe_gauss_env_at_huge_sigma_exits_zero_quickly(capsys):
     row = dict(zip(header, rows[0]))
     assert float(row["p_e"]) == 0.0
     assert math.isfinite(float(row["log10_pe"]))
+
+
+# cells the emitter must quote, escape or keep: separators, quotes, line breaks, %
+TEXT = st.text(st.sampled_from(' ab,"\r\n%'), max_size=5)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+
+
+def _columns(n: int):
+    """Every kind of column _emit takes, n cells long, or a scalar."""
+    floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+
+    def some(cells):
+        return st.lists(cells, min_size=n, max_size=n)
+    return st.one_of(
+        SCALARS,
+        some(st.none() | TEXT),
+        some(st.none() | st.integers()),
+        some(st.none() | st.booleans()),
+        some(st.none() | floats),
+        st.integers(-5, 5).map(lambda start: range(start, start + n)),
+        some(floats).map(lambda v: np.array(v, dtype=np.float64)),
+        some(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v, dtype=np.int64)),
+        some(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
+    )
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 4))
+    names = draw(st.lists(TEXT, max_size=4, unique=True))
+    return {name: draw(_columns(n)) for name in names}
+
+
+def _reference_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def _reference_line(cells) -> str:
+    # \r in the writer's terminator makes it quote cells holding a \r, as csv.reader needs
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+def _reference_csv(table) -> str:
+    columns = [
+        [_reference_cell(v) for v in col] if isinstance(col, (list, range, np.ndarray)) else col
+        for col in table.values()
+    ]
+    n_rows = max((len(c) for c in columns if isinstance(c, list)), default=1)
+    columns = [c if isinstance(c, list) else [_reference_cell(c)] * n_rows for c in columns]
+    return "".join(map(_reference_line, [list(table), *zip(*columns)]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(table=_tables())
+def test_emitted_csv_is_what_csv_writer_writes(table):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(Settings(argparse.Namespace(), {}), "test", table)
+    config, body = out.getvalue().split("\n", 1)
+    assert config == "# config: command=test"
+    assert body == _reference_csv(table)

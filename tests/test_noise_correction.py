@@ -62,6 +62,46 @@ def test_centered_angle_refuses_what_int64_cannot_count():
             centered_angle(x, 2.0 * math.pi / 6)
 
 
+def test_centered_angle_refuses_a_drift_the_double_cannot_reduce():
+    # 1e18 is ~3e17 periods of pi: x - wrap * period kept no sub-sector bits and gave 128
+    for x in (1e18, np.array([0.0, 1e18])):
+        with pytest.raises(ValueError, match="cannot reduce"):
+            centered_angle(x, math.pi)
+
+
+def test_centered_angle_places_a_residue_rounded_onto_a_sector_edge():
+    # pi / (2 pi / 3) rounds to 1.5, though pi lies past 3/2 periods: pi - period
+    # overshoots +period/2 by an ulp, and one more wrap puts it just above -period/2
+    period = 2.0 * math.pi / 3
+    assert math.pi - period > period / 2
+    assert centered_angle(math.pi, period) == (math.pi - 2.0 * period, 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m=st.integers(2, 10**12),
+    xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10),
+    ks=st.lists(st.integers(-(2**62), 2**62), max_size=10),
+)
+def test_every_accepted_angle_lands_in_the_sector(m, xs, ks):
+    period = 2.0 * math.pi / m
+    edges = [(k + 0.5) * period for k in ks]  # q rounds onto a half-integer here
+    xs = [*xs, *edges, *(math.nextafter(x, sign) for x in edges for sign in (-math.inf, math.inf))]
+    accepted = []
+    for x in (x for x in xs if abs(x / period) < 2.0**63):
+        try:
+            res, wrap = centered_angle(x, period)
+        except ValueError as ex:
+            assert "cannot reduce" in str(ex)
+            assert abs(x / period) >= 2.0**52  # where the double keeps no sub-sector bits
+            continue
+        assert -period / 2 < res <= period / 2
+        accepted.append((x, res, wrap))
+    if accepted:
+        res, wrap = centered_angle(np.array([x for x, _, _ in accepted]), period)
+        assert list(zip(res.tolist(), wrap.tolist())) == [(r, w) for _, r, w in accepted]
+
+
 @TIE_PROPERTY
 @given(m=st.integers(2, 10**12), xs=st.lists(st.floats(-1e6, 1e6), max_size=20))
 def test_array_centered_angle_is_the_scalar_one_bit_for_bit(m, xs):
