@@ -70,10 +70,8 @@ from .rotor_state import (
 )
 from .weyl_algebra import (
     ShiftDiagonalOperator,
-    SupportPolicy,
     angle_shift,
     apply,
-    apply_with_leakage,
     commutator_norm,
     compose,
     identity,
@@ -116,9 +114,7 @@ __all__ = [
     "sample_angle",
     # operators
     "ShiftDiagonalOperator",
-    "SupportPolicy",
     "apply",
-    "apply_with_leakage",
     "identity",
     "angle_shift",
     "momentum_shift",

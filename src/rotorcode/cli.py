@@ -31,7 +31,6 @@ from .code_space import (
     Approximant,
     CodeParams,
     binary_table,
-    default_window_half,
     encoding_table,
     logical_encode,
 )

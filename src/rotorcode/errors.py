@@ -3,8 +3,8 @@
 ValueError (and argparse usage problems) mean the caller asked for
 something malformed; NumericalError means the request was well-formed but
 numerically infeasible (an envelope that does not fit its window, an
-undefined stabilizer expectation, a state annihilated by clipping).  The
-command line maps the former to exit status 1 and the latter to 2.
+undefined stabilizer expectation).  The command line maps the former to
+exit status 1 and the latter to 2.
 """
 
 from __future__ import annotations

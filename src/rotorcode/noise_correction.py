@@ -36,7 +36,7 @@ from . import weyl_algebra as wa
 from .analysis import angle_deviation_sampler
 from .errors import NumericalError
 from .code_space import Approximant, CodeParams, logical_encode
-from .rotor_state import RotorState, fidelity, pad_state
+from .rotor_state import RotorState, fidelity
 
 EXPECTATION_TOL = 1e-12
 RESIDUE_MASS_TOL = 1e-15
@@ -95,10 +95,9 @@ def centered_residue(value: int, r: int) -> int:
 
 
 def apply_error(s: RotorState, event: ErrorEvent) -> RotorState:
-    """Apply V^e e^{i eps L} exactly (the window is pre-padded as needed)."""
+    """Apply V^e e^{i eps L} exactly; the window grows by |e| on the kick side."""
     op = wa.compose(wa.momentum_shift(event.e), wa.angle_shift(event.epsilon))
-    padded = pad_state(s, abs(event.e)) if event.e else s
-    return wa.apply(op, padded)
+    return wa.apply(op, s)
 
 
 def _vm_expectation(s: RotorState, m: int) -> complex:
@@ -179,8 +178,7 @@ def correct(s: RotorState, syndrome: Syndrome, params: CodeParams) -> RotorState
     op = wa.compose(
         wa.momentum_shift(-syndrome.q), wa.angle_shift(-syndrome.theta_residue)
     )
-    padded = pad_state(s, abs(syndrome.q)) if syndrome.q else s
-    return wa.apply(op, padded)
+    return wa.apply(op, s)
 
 
 @dataclass(frozen=True)

@@ -109,24 +109,14 @@ class AngleGrid:
         return float(np.sum(np.diff(pts) * (closed[1:] + closed[:-1]) / 2.0) / TWO_PI)
 
 
-def make_state(
-    entries: list[tuple[int, complex]],
-    normalize: bool = True,
-    pad: int = 0,
-) -> RotorState:
-    """Build a state from (l, amplitude) pairs on the tight momentum hull.
-
-    pad widens the window symmetrically with zero amplitudes, which strict
-    operator application requires as a safety margin.
-    """
+def make_state(entries: list[tuple[int, complex]], normalize: bool = True) -> RotorState:
+    """Build a state from (l, amplitude) pairs on the tight momentum hull."""
     if not entries:
         raise ValueError("entries must be non-empty")
     ls = [int(l) for l, _ in entries]
     if len(set(ls)) != len(ls):
         raise ValueError(f"duplicate momentum index in entries: {sorted(ls)}")
-    if pad < 0:
-        raise ValueError("pad must be >= 0")
-    l_min, l_max = min(ls) - pad, max(ls) + pad
+    l_min, l_max = min(ls), max(ls)
     amps = np.zeros(l_max - l_min + 1, dtype=np.complex128)
     for l, a in entries:
         amps[l - l_min] = a
@@ -150,7 +140,11 @@ def from_amplitudes(l_min: int, amplitudes: np.ndarray, normalize: bool = True) 
 
 
 def pad_state(s: RotorState, margin: int) -> RotorState:
-    """Same state on a window widened by `margin` zeros on both sides."""
+    """Same state on a window widened by `margin` zeros on both sides.
+
+    Operator application never needs it: `apply` widens its output window by
+    the operator's shift hull.
+    """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if margin == 0:
@@ -189,7 +183,7 @@ def _reduce_angles(thetas: np.ndarray) -> np.ndarray:
     fmod and the one correcting step of 2pi are both exact, so equal reduced
     angles give bit-identical wavefunction values.
     """
-    if np.any(np.isinf(thetas)):
+    if not np.all(np.isfinite(thetas)):
         raise ValueError("theta must be finite")
     r = np.fmod(thetas, TWO_PI)
     r = np.where(r > math.pi, r - TWO_PI, r)

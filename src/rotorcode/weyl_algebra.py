@@ -16,14 +16,12 @@ over the whole lattice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
 from .rotor_state import RotorState
 
 DiagonalFn = Callable[[np.ndarray], np.ndarray]
@@ -55,27 +53,12 @@ class ShiftDiagonalOperator:
         return tuple(k for k, _ in self.terms)
 
 
-@dataclass(frozen=True)
-class SupportPolicy:
-    """How to treat the truncation boundary when applying an operator.
+def apply(op: ShiftDiagonalOperator, s: RotorState) -> RotorState:
+    """The operator's action, exact on any window.
 
-    strict: demand a zero-amplitude safety margin at the window boundary and
-    widen the output window so no amplitude is ever lost.
-    clip: keep the input window, discard shifted-out amplitude, renormalize.
+    The output window is the input's widened by the shift hull
+    [min(0, min shift), max(0, max shift)], so no amplitude is ever lost.
     """
-
-    mode: str = "strict"
-    safe_margin: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("strict", "clip"):
-            raise ValueError(f"unknown support mode {self.mode!r}")
-        if self.safe_margin < 0:
-            raise ValueError("safe_margin must be >= 0")
-
-
-def _raw_apply(op: ShiftDiagonalOperator, s: RotorState) -> tuple[int, np.ndarray]:
-    """Term-sum action on the widened window; returns (new l_min, amplitudes)."""
     shifts = op.shifts()
     lo = s.l_min + min(0, min(shifts))
     hi = s.l_max + max(0, max(shifts))
@@ -85,69 +68,7 @@ def _raw_apply(op: ShiftDiagonalOperator, s: RotorState) -> tuple[int, np.ndarra
         vals = np.asarray(f(ls), dtype=np.complex128)
         start = s.l_min + k - lo
         out[start : start + ls.shape[0]] += vals * s.amplitudes
-    return lo, out
-
-
-def apply(
-    op: ShiftDiagonalOperator,
-    s: RotorState,
-    policy: SupportPolicy | None = None,
-) -> RotorState:
-    """Apply the operator under the given support policy (default strict).
-
-    When policy is omitted, strict mode with safe_margin equal to the
-    operator's largest |shift| is used.
-    """
-    state, _ = apply_with_leakage(op, s, policy)
-    return state
-
-
-def apply_with_leakage(
-    op: ShiftDiagonalOperator,
-    s: RotorState,
-    policy: SupportPolicy | None = None,
-) -> tuple[RotorState, float]:
-    """As apply, also returning the squared-norm leakage (clip mode only)."""
-    if policy is None:
-        policy = SupportPolicy("strict", op.max_abs_shift)
-
-    if policy.mode == "strict":
-        margin = policy.safe_margin
-        if margin < op.max_abs_shift:
-            raise ValueError(
-                f"safe_margin {margin} < operator max shift {op.max_abs_shift}"
-            )
-        if margin > 0:
-            amps = s.amplitudes
-            near = np.nonzero(np.abs(amps) > 0.0)[0]
-            bad = near[
-                (near < margin) | (near >= amps.shape[0] - margin)
-            ]
-            if bad.size:
-                l_bad = int(s.l_min + bad[0])
-                raise ValueError(
-                    f"strict support violation: nonzero amplitude at l={l_bad} "
-                    f"within safe margin {margin} of window "
-                    f"[{s.l_min}, {s.l_max}]"
-                )
-        lo, out = _raw_apply(op, s)
-        nrm = np.linalg.norm(out)
-        return (
-            RotorState(lo, lo + out.shape[0] - 1, out, abs(nrm - 1.0) <= 1e-12),
-            0.0,
-        )
-
-    # clip mode: project back onto the original window, renormalize
-    lo, out = _raw_apply(op, s)
-    i0 = s.l_min - lo
-    kept = out[i0 : i0 + (s.l_max - s.l_min + 1)].copy()
-    total = float(np.sum(np.abs(out) ** 2))
-    kept_mass = float(np.sum(np.abs(kept) ** 2))
-    leakage = total - kept_mass
-    if kept_mass <= 0.0:
-        raise NumericalError("clip mode discarded the whole state")
-    kept /= math.sqrt(kept_mass)
-    return RotorState(s.l_min, s.l_max, kept, True), leakage
+    return RotorState(lo, hi, out, abs(np.linalg.norm(out) - 1.0) <= 1e-12)
 
 
 def identity() -> ShiftDiagonalOperator:
@@ -344,12 +265,13 @@ def random_probes(
     support: int = 8,
     margin: int = 64,
 ) -> list[RotorState]:
-    """Random sparse normalized states with a zero margin at the window edge.
+    """count >= 1 random sparse normalized states on [-window_half, window_half].
 
     Support momenta are drawn inside [-window_half + margin,
-    window_half - margin], so sequences of shift operators stay inside the
-    strict support policy.
+    window_half - margin]; the margin only fixes that draw range.
     """
+    if count < 1:
+        raise ValueError(f"need at least one probe state, got {count}")
     if margin >= window_half:
         raise ValueError("margin must be smaller than window_half")
     probes = []
@@ -477,9 +399,7 @@ def invariant_residuals(
 
 __all__ = [
     "ShiftDiagonalOperator",
-    "SupportPolicy",
     "apply",
-    "apply_with_leakage",
     "identity",
     "angle_shift",
     "momentum_shift",

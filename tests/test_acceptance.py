@@ -30,7 +30,7 @@ from rotorcode.noise_correction import (
     correct,
     measure_syndrome_expected,
 )
-from rotorcode.rotor_state import fidelity, inner, pad_state
+from rotorcode.rotor_state import fidelity, inner
 from rotorcode.weyl_algebra import apply, invariant_residuals, phase_gate, qubit_X
 
 
@@ -292,9 +292,8 @@ def test_criterion_12_logical_gate_semantics():
     r, n, m = params.r, params.n, params.m
     for j in (1, 2):
         op = qubit_X(j, r)
-        shift = 2 ** (j - 1) * r
         for k in range(n):
-            moved = apply(op, pad_state(ideal_codeword(params, k), shift))
+            moved = apply(op, ideal_codeword(params, k))
             lo, hi = moved.support_hull()
             target_k = k ^ (1 << (j - 1))
             fid = fidelity(moved, ideal_comb((target_k * r) % m, m, lo, hi))

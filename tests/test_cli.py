@@ -303,6 +303,9 @@ def test_pretty_format(capsys):
         (("roundtrip", "--epsilon", "1e300", "--trials", "5", "--seed", "1"), "2^63 periods"),
         # ~3e17 sectors: the double keeps no bits to place the residue in (-pi/2, pi/2]
         (("roundtrip", "--epsilon", "1e18", "--trials", "3", "--seed", "1"), "cannot reduce"),
+        # a suite of no probe states checks nothing, so it must not report a pass
+        (("check", "--corrupt", "--probes", "0", "--seed", "1"), "at least one probe"),
+        (("check", "--probes=-3", "--seed", "1"), "at least one probe"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):

@@ -1,4 +1,4 @@
-"""Shift-diagonal operators: exact actions, support policies, invariants."""
+"""Shift-diagonal operators: exact actions on any window, invariants."""
 
 import math
 
@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from rotorcode import (
     CodeParams,
-    NumericalError,
     ShiftDiagonalOperator,
-    SupportPolicy,
     angle_shift,
     apply,
-    apply_with_leakage,
     commutator_norm,
     compose,
     identity,
@@ -22,6 +19,7 @@ from rotorcode import (
     make_state,
     momentum_shift,
     operator_difference_norm,
+    pad_state,
     phase_gate,
     qubit_X,
     qubit_Z,
@@ -35,19 +33,12 @@ from rotorcode.weyl_algebra import _aligned_difference
 
 
 def basis(l, pad=4):
-    return make_state([(l, 1.0)], pad=pad)
+    return pad_state(make_state([(l, 1.0)]), pad)
 
 
 def test_operator_requires_terms():
     with pytest.raises(ValueError, match="at least one term"):
         ShiftDiagonalOperator((), "empty")
-
-
-def test_support_policy_validation():
-    with pytest.raises(ValueError, match="unknown support mode"):
-        SupportPolicy("sloppy", 0)
-    with pytest.raises(ValueError, match="safe_margin"):
-        SupportPolicy("strict", -1)
 
 
 def test_identity_and_momentum_shift_actions():
@@ -61,22 +52,18 @@ def test_identity_and_momentum_shift_actions():
 
 
 def test_angle_shift_is_a_momentum_diagonal_phase():
-    s = make_state([(-1, 1.0), (2, 1.0)], pad=1)
+    s = make_state([(-1, 1.0), (2, 1.0)])
     out = apply(angle_shift(0.3), s)
     assert out.amplitude_at(-1) == pytest.approx(np.exp(-0.3j) / math.sqrt(2))
     assert out.amplitude_at(2) == pytest.approx(np.exp(0.6j) / math.sqrt(2))
 
 
-def test_strict_apply_rejects_margin_violation_with_location():
-    s = make_state([(0, 1.0)])  # tight window [0, 0], no safety margin
-    with pytest.raises(ValueError, match=r"l=0 within safe margin 1 of window \[0, 0\]"):
-        apply(momentum_shift(1), s)
-
-
-def test_strict_apply_rejects_too_small_margin():
-    s = basis(0, pad=8)
-    with pytest.raises(ValueError, match="safe_margin 1 < operator max shift 2"):
-        apply(momentum_shift(2), s, SupportPolicy("strict", 1))
+def test_apply_widens_a_tight_window():
+    s = make_state([(0, 1.0)])  # tight window [0, 0], weight on both edges
+    out = apply(momentum_shift(1), s)
+    assert (out.l_min, out.l_max) == (0, 1)
+    assert out.amplitude_at(1) == 1.0
+    assert out.normalized
 
 
 def test_strict_apply_widens_window_by_shift_hull():
@@ -84,21 +71,6 @@ def test_strict_apply_widens_window_by_shift_hull():
     out = apply(momentum_shift(2), s)
     assert (out.l_min, out.l_max) == (-2, 4)
     assert out.normalized
-
-
-def test_clip_apply_reports_leakage_and_renormalizes():
-    s = make_state([(0, 1.0), (1, 1.0)])  # window [0, 1]
-    out, leak = apply_with_leakage(momentum_shift(1), s, SupportPolicy("clip"))
-    assert (out.l_min, out.l_max) == (0, 1)
-    assert leak == pytest.approx(0.5)
-    assert out.amplitude_at(1) == pytest.approx(1.0)
-    assert out.norm() == pytest.approx(1.0)
-
-
-def test_clip_apply_raises_when_everything_leaks():
-    s = make_state([(0, 1.0)])
-    with pytest.raises(NumericalError, match="discarded the whole state"):
-        apply(momentum_shift(1), s, SupportPolicy("clip"))
 
 
 @pytest.mark.parametrize("r", [1, 3])
@@ -205,7 +177,7 @@ def test_compose_applies_right_factor_first():
 
 def test_scaled_multiplies_the_action():
     s = basis(1)
-    out = apply(scaled(momentum_shift(2), 0.5j), s, SupportPolicy("strict", 2))
+    out = apply(scaled(momentum_shift(2), 0.5j), s)
     assert out.amplitude_at(3) == pytest.approx(0.5j)
 
 
@@ -306,12 +278,10 @@ def test_qudit_clock_is_exact_at_quarter_turns(j, r, lo):
         assert np.array_equal(diag(ls), expected)
 
 
-# every shift stays within the 64 zero momenta that random_probes leaves at
-# each window edge (the qutrit raise shifts by -2 * 3^(j-1) r, so j <= 2)
 OPERATORS = {
     "X": qubit_X,
     "Z": qubit_Z,
-    "qutrit X": lambda j, r: qudit_pair(min(j, 2), 3, r)[1],
+    "qutrit X": lambda j, r: qudit_pair(j, 3, r)[1],
     "qutrit Z": lambda j, r: qudit_pair(j, 3, r)[0],
     "R": lambda j, r: phase_gate(j, j % 3 + 1, r),
     "V": lambda j, r: momentum_shift(2 * r - 3 * j),
@@ -329,3 +299,41 @@ def test_compose_equals_sequential_apply(a, b, j, r, seed):
     ab = compose(op_a, op_b)
     for p in random_probes(np.random.default_rng(seed), count=3):
         assert _aligned_difference(apply(ab, p), apply(op_a, apply(op_b, p))) <= 1e-14
+
+
+# operators from every constructor, alone or composed in pairs: all unitary
+ATOMS = st.one_of(
+    st.builds(momentum_shift, st.integers(-40, 40)),
+    st.builds(angle_shift, st.floats(-4.0, 4.0)),
+    st.builds(qubit_X, DIGITS, RS),
+    st.builds(qubit_Z, DIGITS, RS),
+    st.builds(lambda j, d, r, which: qudit_pair(j, d, r)[which],
+              DIGITS, st.integers(2, 5), RS, st.integers(0, 1)),
+    st.builds(lambda j, step, r: phase_gate(j, j + step, r), DIGITS, st.integers(1, 2), RS),
+)
+UNITARIES = st.one_of(ATOMS, st.builds(compose, ATOMS, ATOMS))
+SPARSE = st.dictionaries(
+    st.integers(-60, 60),
+    st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+    min_size=1,
+    max_size=6,
+)
+
+
+@PROPERTY
+@given(op=UNITARIES, entries=SPARSE, pad=st.integers(0, 40))
+def test_apply_is_exact_on_a_tight_window(op, entries, pad):
+    s = make_state(sorted(entries.items()))
+    assert s.support_hull() == (s.l_min, s.l_max)
+    tight, padded = apply(op, s), apply(op, pad_state(s, pad))
+    shifts = op.shifts()
+    assert (tight.l_min, tight.l_max) == (
+        s.l_min + min(0, min(shifts)),
+        s.l_max + max(0, max(shifts)),
+    )
+    assert (padded.l_min, padded.l_max) == (tight.l_min - pad, tight.l_max + pad)
+    widened = np.zeros_like(padded.amplitudes)
+    widened[pad : pad + tight.amplitudes.shape[0]] = tight.amplitudes
+    assert np.max(np.abs(padded.amplitudes - widened)) <= 1e-15
+    assert tight.normalized
+    assert tight.norm() == pytest.approx(1.0, abs=1e-12)
