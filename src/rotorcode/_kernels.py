@@ -1,9 +1,9 @@
-"""Angular wavefunction kernels and the tabulated inverse-CDF sampler.
+"""Angular wavefunction kernels and the tabulated inverse-CDF sampler of sample_angle.
 
 psi(theta) = sum_l a_l e^{i l theta} is evaluated two ways:
 
 * on the uniform grid theta_j = -pi + 2 pi j / M by one inverse FFT of the
-  amplitudes folded mod M (angle distributions, angle samplers);
+  amplitudes folded mod M (angle distributions, sample_angle);
 * at scattered angles by a direct chunked sum (theta_wavefunction).
 
 The folding is integer arithmetic, so the grid path is exact for windows
@@ -58,7 +58,7 @@ def psi_on_grid(amplitudes: np.ndarray, l_min: int, resolution: int) -> np.ndarr
 def grid_sampler(
     densities: np.ndarray,
 ) -> Callable[[np.random.Generator, int | None], np.ndarray | float]:
-    """Inverse-CDF sampler for a density tabulated at theta_j = -pi + 2 pi j / M.
+    """sample_angle's inverse-CDF sampler for a density tabulated at theta_j = -pi + 2 pi j / M.
 
     The M intervals close periodically through +pi; the cumulative
     trapezoid is normalized and inverted by linear interpolation, so every

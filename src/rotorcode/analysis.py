@@ -12,8 +12,8 @@ Routes: the quadrature method, an exact formula for every family (Fejér
 series, image sum, error-function ratio, incomplete beta function), a closed
 form and a large-squeezing asymptotic for the truncated-Gaussian family (kept
 numerically alive far below double underflow via log-space error functions),
-the no-information guess 1 - 1/m, and direct Monte Carlo over sampled angle
-deviations.
+the no-information guess 1 - 1/m, and direct Monte Carlo over angle deviations
+drawn exactly from each family's law.
 """
 
 from __future__ import annotations
@@ -25,16 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import grid_sampler
-from .code_space import (
-    Approximant,
-    CodeParams,
-    _check_window_size,
-    _cos_height,
-    _envelope_images,
-    _tg_height,
-)
-from .errors import NumericalError
+from .code_space import Approximant, CodeParams, _check_window_size, _envelope_images
+from .rotor_state import _reduce_angles
 
 LOG10_FLOOR = -300.0  # below this, report value 0.0 and keep log10_value
 EPS = float(np.finfo(float).eps)
@@ -53,58 +45,6 @@ class PeResult:
     method: str
     error_estimate: float
     log10_value: float | None = None
-
-
-def _angle_density(approx: Approximant) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalized angle density f(u) = |Psi(u)|^2 / 2pi on (-pi, pi].
-
-    For the cosine-power family f(u) ~ cos^(2 gamma)(u/2), the square of the
-    cos^gamma(u/2) profile (see ``Approximant``).
-    """
-    p = approx.parameter
-    if approx.family == "truncated_gaussian":
-        a2 = _tg_height(p) ** 2 / (2.0 * math.pi)
-
-        def dens(u: np.ndarray) -> np.ndarray:
-            return a2 * np.exp(-((p * u) ** 2))
-
-        return dens
-    if approx.family == "cosine_power":
-        from scipy import special  # scipy loads on first use: import rotorcode stays light
-        a2 = _cos_height(p) ** 2 / (2.0 * math.pi)
-
-        def dens(u: np.ndarray) -> np.ndarray:
-            # exp(gamma log1p(-sin^2(u/2))), -sin^2(u/2) = cosm1(u)/2: a rounded
-            # cos(u/2) raised to 2 gamma would lose ~2 gamma eps.  At u = +-pi
-            # xlog1py gives -inf (density 0) without a floating-point warning.
-            return a2 * np.exp(special.xlog1py(p, 0.5 * special.cosm1(u)))
-
-        return dens
-    if approx.family == "gaussian_envelope":
-        s, images, even, odd = _envelope_images(p)
-        scale, h = s / (math.sqrt(math.pi) * (even + odd)), s / math.sqrt(2.0)
-
-        def dens(u: np.ndarray) -> np.ndarray:
-            # scale (sum_n e^{-s^2 (u - 2 pi n)^2 / 2})^2 in place: new arrays cost 3x
-            t = np.empty_like(np.asarray(u, dtype=np.float64))
-            psi = np.zeros_like(t)
-            with np.errstate(over="ignore"):  # a far image's exponent: -inf, e^-inf = 0
-                for n in images:
-                    np.multiply(np.subtract(u, 2.0 * math.pi * n, out=t), h, out=t)
-                    psi += np.exp(np.negative(np.square(t, out=t), out=t), out=t)
-            return scale * psi**2
-
-        return dens
-    # grating: Dirichlet kernel of K = 2 L_M + 1 slits
-    half = int(p)
-    K = 2 * half + 1
-
-    def dens(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        ratio = K * np.sinc(K * u / (2.0 * math.pi)) / np.sinc(u / (2.0 * math.pi))
-        return ratio**2 / (K * 2.0 * math.pi)
-
-    return dens
 
 
 def _grating_pe(half: int, m: int) -> PeResult:
@@ -246,22 +186,75 @@ def pe_pure_guess(m: int) -> PeResult:
     return PeResult(value=p, method="pure_guess", error_estimate=0.0, log10_value=math.log10(p))
 
 
-GRID_SIZE = 1 << 17
+PROPOSAL_BLOCK = 1 << 15  # proposals per round: memory stays flat for any trial count
 
 
 def angle_deviation_sampler(
     approx: Approximant,
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Inverse-CDF sampler for angular deviations u ~ |Psi(u)|^2 / 2pi.
+    """Exact sampler for angular deviations u ~ |Psi(u)|^2 / 2pi on [-pi, pi].
 
-    The cumulative distribution is tabulated once on a uniform grid of
-    2^17 intervals over [-pi, pi] and inverted by linear interpolation.
+    Each family draws through the identity its p_e formula integrates (README
+    "p_e by quadrature"); trunc-gauss and the grating by rejection (Devroye,
+    Non-Uniform Random Variate Generation, 1986, II.3), keeping over half of
+    their proposals.  propose(rng, n) gives n candidates u and the mask (or
+    slice) of those kept.
     """
-    grid = -math.pi + 2.0 * math.pi * np.arange(GRID_SIZE) / GRID_SIZE
-    pdf = np.asarray(_angle_density(approx)(grid), dtype=np.float64)
-    if np.any(~np.isfinite(pdf)) or np.any(pdf < -1e-12):
-        raise NumericalError("angle density evaluation failed")
-    return grid_sampler(np.clip(pdf, 0.0, None))
+    p = approx.parameter
+    if approx.family == "cosine_power":
+        def propose(rng: np.random.Generator, n: int) -> tuple:
+            # x = sin^2(u/2) ~ Beta(1/2, gamma + 1/2), the substitution behind betaincc
+            u = 2.0 * np.arcsin(np.sqrt(rng.beta(0.5, p + 0.5, n)))
+            return np.where(rng.random(n) < 0.5, u, -u), slice(None)
+
+    elif approx.family == "gaussian_envelope":
+        # the squared image sum is E (wrapped normal at 0) + O (wrapped normal at pi),
+        # each of width 1/(sqrt2 s): the mixture behind _envelope_pe
+        s, _, even, odd = _envelope_images(p)
+        width, odd_share = 1.0 / (math.sqrt(2.0) * s), odd / (even + odd)
+
+        def propose(rng: np.random.Generator, n: int) -> tuple:
+            u = rng.standard_normal(n) * width
+            u[rng.random(n) < odd_share] += math.pi
+            return _reduce_angles(u), slice(None)
+
+    elif approx.family == "truncated_gaussian" and math.pi * p >= 1.0:
+        def propose(rng: np.random.Generator, n: int) -> tuple:
+            # N(0, 1/2 xi^2) cut at |u| = pi: acceptance erf(pi xi) >= 0.84
+            u = rng.standard_normal(n) * (1.0 / (math.sqrt(2.0) * p))
+            return u, np.abs(u) <= math.pi
+
+    elif approx.family == "truncated_gaussian":
+        def propose(rng: np.random.Generator, n: int) -> tuple:
+            # the normal alone would need ~1/xi rounds as xi -> 0; a uniform u kept
+            # with probability e^{-xi^2 u^2} keeps sqrt(pi) erf(pi xi) / (2 pi xi) >= 0.74
+            u = math.pi * (2.0 * rng.random(n) - 1.0)
+            return u, rng.random(n) < np.exp(-((p * u) ** 2))
+
+    else:
+        # grating: sin^2(Ku/2) / sin^2(u/2) <= min(K^2, pi^2/u^2), an envelope of mass
+        # pi (2K - 1) per side; w is the signed envelope mass up to u, in units of pi
+        K = 2.0 * int(p) + 1.0
+
+        def propose(rng: np.random.Generator, n: int) -> tuple:
+            w = (2.0 * K - 1.0) * (2.0 * rng.random(n) - 1.0)
+            a = np.abs(w)
+            u = np.where(a < K, a * (math.pi / K**2), math.pi / (2.0 * K - a))
+            # V min(K^2, pi^2/u^2) <= the density, multiplied through by u^2 sin^2(u/2)
+            bound = rng.random(n) * np.minimum((K * u) ** 2, math.pi**2) * np.sin(0.5 * u) ** 2
+            return np.copysign(u, w), bound <= (u * np.sin(0.5 * K * u)) ** 2
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        out = np.empty(size)
+        filled = 0
+        while filled < size:
+            u, keep = propose(rng, min(PROPOSAL_BLOCK, 2 * (size - filled)))
+            got = u[keep][: size - filled]
+            out[filled : filled + got.size] = got
+            filled += got.size
+        return out
+
+    return draw
 
 
 def pe_monte_carlo(

@@ -427,9 +427,11 @@ def approx_codeword(
     amps[teeth] = cs[teeth]
     teeth_mass = float(np.sum(np.abs(amps) ** 2))
     if int(np.count_nonzero(np.abs(amps) > 0.0)) < 2:
-        raise ValueError(
-            "window holds fewer than two comb teeth with weight; widen it"
-        )
+        # no wider window helps once the envelope is exactly 0 on both sides of one about 0
+        beyond = envelope_coefficients(approx, np.array([l_lo - 1, l_hi + 1]))
+        vanishes = l_lo <= 0 <= l_hi and not beyond.any()
+        fix = "the envelope is 0 beyond it" if vanishes else "widen it"
+        raise ValueError(f"window holds fewer than two comb teeth with weight; {fix}")
     amps = amps / math.sqrt(teeth_mass)
     return RotorState(l_lo, l_hi, amps.astype(np.complex128), True)
 

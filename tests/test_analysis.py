@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -30,7 +31,7 @@ from rotorcode import (
     pe_quadrature,
     sweep,
 )
-from rotorcode.analysis import LOG10_FLOOR, METHODS, SWEEP_COLUMNS, _angle_density
+from rotorcode.analysis import LOG10_FLOOR, METHODS, SWEEP_COLUMNS
 
 # Frozen reference values, computed from closed forms / exact antiderivatives
 # outside this package (error-function ratios, multiple-angle expansions of
@@ -93,15 +94,6 @@ def test_cosine_power_quadrature_keeps_precision_at_large_gamma():
         exact = float(height2 * tail / mpmath.pi)
     res = pe_quadrature(Approximant("cosine_power", gamma), m)
     assert res.value == pytest.approx(exact, rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("gamma", [0.5, 7.3])
-def test_cosine_power_density_vanishes_at_pi_without_warnings(gamma):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        dens = _angle_density(Approximant("cosine_power", gamma))
-        edges = dens(np.array([-math.pi, math.pi]))
-    assert np.array_equal(edges, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("lm, expected", sorted(GRATING_REFERENCE.items()))
@@ -264,18 +256,6 @@ def test_gaussian_envelope_matches_50_digit_integral(sigma, m):
     assert abs(res.value - exact) <= res.error_estimate
 
 
-@pytest.mark.parametrize("sigma", [0.05, 0.7, 8.0])
-def test_gaussian_envelope_density_matches_the_momentum_series(sigma):
-    us = np.array([0.0, 0.1, 1.0, 2.5, math.pi])
-    dens = _angle_density(Approximant("gaussian_envelope", sigma))(us)
-    with mpmath.workdps(30):
-        q = mpmath.exp(-1 / (2 * mpmath.mpf(sigma) ** 2))
-        norm = mpmath.jtheta(3, 0, q**2)
-        exact = [float(mpmath.jtheta(3, u / 2, q) ** 2 / (2 * mpmath.pi * norm)) for u in us]
-    # 30 digits of a near-cancelling series: no reference below 1e-25 of the peak
-    np.testing.assert_allclose(dens, exact, rtol=1e-14, atol=1e-25 * max(exact))
-
-
 @pytest.mark.parametrize(
     "family", ["truncated_gaussian", "cosine_power", "gaussian_envelope", "grating"]
 )
@@ -315,12 +295,17 @@ params = rotorcode.CodeParams(d=2, N=2, delta_L=1)
 word = rotorcode.ideal_codeword(params, 1, -60, 60)
 op = wa.compose(wa.qubit_X(1, params.r), wa.phase_gate(1, 2, params.r))
 step("operator algebra", lambda: int(wa.apply(op, word).amplitudes.size == 0))
+for family, flag in (("trunc-gauss", "--xi"), ("cos-power", "--gamma"), ("gauss-env", "--sigma"),
+                     ("grating", "--slits")):
+    step(f"pe {family} monte-carlo", lambda: cli.main([
+        "pe", "--family", family, flag, "3", "--method", "monte-carlo", "--seed", "1",
+        "--trials", "1000"]))
 """
 
 
 def test_import_leaves_scipy_unloaded():
     # scipy.special loads on first use, inside the functions that call it, so the
-    # package and every command that needs no envelope or p_e runs without it
+    # package and every command that needs no envelope or exact p_e runs without it
     src = str(Path(rotorcode.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_PROBE], env={**os.environ, "PYTHONPATH": src},
@@ -329,19 +314,26 @@ def test_import_leaves_scipy_unloaded():
     steps = [line.rsplit(" ", 2) for line in out.splitlines()]
     assert [name for name, _, _ in steps] == [
         "import", "import rotorcode", "tables", "tables --binary", "check",
-        "codeword ideal", "operator algebra",
+        "codeword ideal", "operator algebra", "pe trunc-gauss monte-carlo",
+        "pe cos-power monte-carlo", "pe gauss-env monte-carlo", "pe grating monte-carlo",
     ]
     assert [step for step in steps if step[1:] != ["0", "False"]] == []
 
 
+ANGLE_DENSITY = {  # |Psi(u)|^2 up to its normalization
+    "truncated_gaussian": lambda p, u: mpmath.exp(-((p * u) ** 2)),
+    "cosine_power": lambda p, u: mpmath.cos(u / 2) ** (2 * p),
+}
+
+
 def _tail_of_sampler_density(approx, m, width):
-    # the density the sampler draws from, integrated over both tails by mpmath
-    dens = _angle_density(approx)
-    a = math.pi / m
-    cut = [a + 40.0 * width] if a + 40.0 * width < math.pi else []
-    return 2.0 * float(
-        mpmath.quad(lambda u: float(dens(np.array([float(u)]))[0]), [a, *cut, math.pi])
-    )
+    # the family's angle density, its tail over its mass on (0, pi), by 30-digit mpmath
+    with mpmath.workdps(30):
+        p, a = mpmath.mpf(approx.parameter), mpmath.pi / m
+        cut = [a + 40 * width] if a + 40 * width < mpmath.pi else []
+        dens = partial(ANGLE_DENSITY[approx.family], p)
+        tail = mpmath.quad(dens, [a, *cut, mpmath.pi])
+        return float(tail / (mpmath.quad(dens, [0, a]) + tail))
 
 
 @pytest.mark.parametrize(
@@ -577,7 +569,7 @@ def test_sampler_draws_match_the_density_tail():
     [("cosine_power", 0.3), ("gaussian_envelope", 0.2), ("grating", 1.0)],
 )
 def test_sampler_draws_stay_in_range_for_wide_densities(family, parameter):
-    # these densities keep mass at +-pi, where the tabulated CDF closes
+    # these densities keep mass near +-pi: no draw may land past the circle's edge
     us = angle_deviation_sampler(Approximant(family, parameter))(
         np.random.default_rng(8), 20_000
     )
@@ -586,17 +578,17 @@ def test_sampler_draws_stay_in_range_for_wide_densities(family, parameter):
 
 
 def test_gaussian_envelope_sampler_matches_quadrature_and_stays_small():
-    # sigma = 6144 = 2 m at N = 10, delta_L = 1: a cosine table would need 39 GB;
-    # at sigma = 1e8 a momentum series would need 6e8 terms, the images need 3
+    # sigma = 6144 = 2 m at N = 10, delta_L = 1, and sigma = 1e8, where a momentum
+    # series would need 6e8 terms: the draws need only the weights of 3 images
     for sigma in (6144.0, 1e8):
         tracemalloc.start()
         try:
             draw = angle_deviation_sampler(Approximant("gaussian_envelope", sigma))
+            us = draw(np.random.default_rng(5), 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        us = draw(np.random.default_rng(5), 200_000)
         assert np.all((us >= -math.pi) & (us <= math.pi))
     # at sigma = 8 the sampled tail agrees with the quadrature tail
     approx = Approximant("gaussian_envelope", 8.0)
@@ -604,6 +596,76 @@ def test_gaussian_envelope_sampler_matches_quadrature_and_stays_small():
     us = angle_deviation_sampler(approx)(np.random.default_rng(6), 50_000)
     frac = np.mean(np.abs(us) > math.pi / 24)
     assert abs(frac - p_ref) < 4.0 * math.sqrt(p_ref * (1 - p_ref) / 50_000)
+
+
+# far out on each family, where a 2^17-point tabulated CDF pulled +3.9, +47.5, +7.8,
+# -10.4, +371 and +1.6 standard errors off the exact tail
+PULL_POINTS = [
+    ("truncated_gaussian", 2000.0, 3072, 4_000_000),
+    ("cosine_power", 1e8, 12288, 4_000_000),
+    ("truncated_gaussian", 3000.0, 9216, 2_000_000),
+    ("grating", 30000.0, 9216, 2_000_000),
+    ("truncated_gaussian", 20000.0, 82944, 2_000_000),
+    ("gaussian_envelope", 1500.0, 3072, 2_000_000),
+]
+
+
+@pytest.mark.parametrize("family, parameter, m, trials", PULL_POINTS)
+def test_monte_carlo_pulls_within_four_standard_errors_at_large_m(family, parameter, m, trials):
+    approx = Approximant(family, parameter)
+    exact = pe_quadrature(approx, m).value
+    mc = pe_monte_carlo(approx, m, trials, np.random.default_rng(2026))
+    assert abs(mc.value - exact) < 4.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+@pytest.mark.parametrize(
+    "family, parameter",
+    [
+        ("truncated_gaussian", 0.3),  # pi xi < 1: the uniform proposal
+        ("truncated_gaussian", 4.0),  # the normal proposal
+        ("cosine_power", 0.3),
+        ("cosine_power", 40.0),
+        ("gaussian_envelope", 0.7),  # the mixture at pi holds 1.6 % of the mass
+        ("gaussian_envelope", 0.05),
+        ("grating", 1.0),
+        ("grating", 20.0),
+    ],
+)
+def test_sampled_tails_match_the_exact_ones_for_every_period(family, parameter):
+    # a Kolmogorov-Smirnov bound on |u| at the thresholds pi/m: 1.63/sqrt(n) is its 1 % level
+    approx, n = Approximant(family, parameter), 200_000
+    us = np.abs(angle_deviation_sampler(approx)(np.random.default_rng(17), n))
+    gap = max(abs(np.mean(us > math.pi / m) - pe_quadrature(approx, m).value) for m in range(2, 65))
+    assert gap < 1.63 / math.sqrt(n)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(["truncated_gaussian", "cosine_power", "gaussian_envelope", "grating"]),
+    log_p=st.floats(-6.0, 12.0),
+    size=st.integers(1, 70_000),
+)
+def test_sampler_draws_are_finite_and_on_the_circle_for_any_parameter(family, log_p, size):
+    # slits L_M from 1 to 1e6, every other parameter from 1e-6 to 1e12
+    parameter = float(round(10.0 ** ((log_p + 6.0) / 3.0))) if family == "grating" else 10.0**log_p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        us = angle_deviation_sampler(Approximant(family, parameter))(np.random.default_rng(3), size)
+    assert us.shape == (size,)
+    assert np.all(np.isfinite(us) & (np.abs(us) <= math.pi))
+
+
+@pytest.mark.parametrize("family", ["truncated_gaussian", "cosine_power", "gaussian_envelope", "grating"])
+def test_sampler_memory_is_the_draws_plus_one_block_of_proposals(family):
+    # proposals come 2^15 at a time: 1M draws take their own 8 MB and little more
+    draw = angle_deviation_sampler(Approximant(family, 3.0))
+    tracemalloc.start()
+    try:
+        draw(np.random.default_rng(9), 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000 + 4 * 2**20
 
 
 def test_monte_carlo_is_seed_deterministic_and_consistent():

@@ -315,6 +315,26 @@ def test_usage_errors_exit_one(capsys, argv, fragment):
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # psi ~ cos^2(u/2) is 0 past |l| = 1: only the tooth at l = 0 has weight
+        ("codeword", "--N", "1", "--delta-L", "0", "--family", "cos-power", "--gamma", "2",
+         "--k", "0", "--window-half", "200"),
+        # one slit each side of l = 0, and the teeth of k = 3 sit at 9 (mod 24)
+        ("codeword", "--N", "3", "--family", "grating", "--slits", "1", "--k", "3"),
+        # e^{-l^2 / 2 sigma^2} underflows to 0 well before the teeth at |l| = m = 96
+        ("roundtrip", "--N", "5", "--family", "gauss-env", "--sigma", "0.7", "--trials", "5",
+         "--seed", "1"),
+    ],
+)
+def test_band_limited_envelope_with_too_few_teeth_does_not_say_widen(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "fewer than two comb teeth" in err
+    assert "widen" not in err
+
+
 def test_numerical_failure_exits_two(capsys):
     code, _, err = run_cli(
         capsys,

@@ -332,8 +332,11 @@ def test_flat_grating_codeword_equals_ideal_comb():
 
 def test_approx_codeword_guards():
     params = CodeParams(d=2, N=1, delta_L=1)
-    with pytest.raises(ValueError, match="fewer than two comb teeth"):
+    with pytest.raises(ValueError, match="fewer than two comb teeth with weight; the envelope is 0"):
         approx_codeword(params, 0, Approximant("grating", 2.0), -2, 2)
+    # the teeth at |l| = 6, just past the window, carry c_l = 1e-8: a wider one holds them
+    with pytest.raises(ValueError, match="fewer than two comb teeth with weight; widen it"):
+        approx_codeword(params, 0, Approximant("gaussian_envelope", 1.0), -5, 5)
     with pytest.raises(ValueError, match="outside"):
         approx_codeword(params, 5, Approximant("grating", 12.0))
 
