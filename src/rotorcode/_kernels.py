@@ -4,7 +4,7 @@ psi(theta) = sum_l a_l e^{i l theta} is evaluated two ways:
 
 * on the uniform grid theta_j = -pi + 2 pi j / M by one inverse FFT of the
   amplitudes folded mod M (angle distributions, sample_angle);
-* at scattered angles by a direct chunked sum (theta_wavefunction).
+* at scattered angles by a chunked sum over the nonzero amplitudes (theta_wavefunction).
 
 The folding is integer arithmetic, so the grid path is exact for windows
 wider than M and for windows far from l = 0.
@@ -23,10 +23,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def evaluate_psi(amplitudes: np.ndarray, l_min: int, thetas: np.ndarray) -> np.ndarray:
-    """psi(theta_i) = sum_l amplitudes[l - l_min] * e^{i l theta_i}."""
+    """psi(theta_i) = sum_l amplitudes[l - l_min] * e^{i l theta_i} over the nonzero amplitudes."""
     amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    offsets = np.arange(amplitudes.shape[0])
+    offsets = np.flatnonzero(amplitudes)
     out = np.empty(thetas.shape[0], dtype=np.complex128)
     # ~32 MB of complex128 per chunk of the phase matrix
     chunk = max(1, (2 << 20) // max(1, offsets.shape[0]))
@@ -34,7 +34,7 @@ def evaluate_psi(amplitudes: np.ndarray, l_min: int, thetas: np.ndarray) -> np.n
         block = thetas[start : start + chunk]
         # e^{i l_min theta} factored out, so |psi| keeps its accuracy at large |l|
         out[start : start + chunk] = (
-            np.exp(1j * np.outer(block, offsets)) @ amplitudes
+            np.exp(1j * np.outer(block, offsets)) @ amplitudes[offsets]
         ) * np.exp(1j * int(l_min) * block)
     return out
 

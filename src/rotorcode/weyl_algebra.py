@@ -5,9 +5,9 @@ Every operator used by the encoding is a finite sum of terms
     (shift k, diagonal f):   a_l |l>  ->  f(l) a_l |l + k>,
 
 kept symbolic (never materialized as a matrix), so application is exact on
-any momentum window and costs O(terms x dim).  The constructors cover the
-rotor Weyl pair (V, e^{i alpha L}), the encoded qubit/qudit Weyl pairs, the
-entangling phase gate, and the stabilizer pair.
+any window and evaluates diagonals only where the state has weight.  The
+constructors cover the rotor Weyl pair (V, e^{i alpha L}), the encoded
+qubit/qudit Weyl pairs, the entangling phase gate, and the stabilizer pair.
 
 Floor convention: floor(l / k) rounds toward -infinity for negative l
 (python integer division), which is what makes the digit patterns periodic
@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .code_space import _check_window_size
 from .rotor_state import RotorState
 
 DiagonalFn = Callable[[np.ndarray], np.ndarray]
@@ -62,12 +63,13 @@ def apply(op: ShiftDiagonalOperator, s: RotorState) -> RotorState:
     shifts = op.shifts()
     lo = s.l_min + min(0, min(shifts))
     hi = s.l_max + max(0, max(shifts))
+    _check_window_size(lo, hi)
     out = np.zeros(hi - lo + 1, dtype=np.complex128)
-    ls = s.ls
+    idx = np.flatnonzero(s.amplitudes)  # the momenta where the state has weight
+    ls, amps = s.ls[idx], s.amplitudes[idx]
     for k, f in op.terms:
         vals = np.asarray(f(ls), dtype=np.complex128)
-        start = s.l_min + k - lo
-        out[start : start + ls.shape[0]] += vals * s.amplitudes
+        out[idx + (s.l_min + k - lo)] += vals * amps
     return RotorState(lo, hi, out, abs(np.linalg.norm(out) - 1.0) <= 1e-12)
 
 

@@ -306,6 +306,9 @@ def test_pretty_format(capsys):
         # a suite of no probe states checks nothing, so it must not report a pass
         (("check", "--corrupt", "--probes", "0", "--seed", "1"), "at least one probe"),
         (("check", "--probes=-3", "--seed", "1"), "at least one probe"),
+        # the kicked window would hold 10^12 momenta: refused before it is allocated
+        (("roundtrip", "--N", "1", "--trials", "10", "--seed", "1", "--kick", "1000000000000"),
+         "cap of 33554432"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):

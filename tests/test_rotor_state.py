@@ -1,17 +1,23 @@
 """Momentum-window states: construction, overlaps, angle densities, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotorcode import (
     AngleGrid,
+    Approximant,
+    CodeParams,
     RotorState,
     angle_distribution,
     fidelity,
     from_amplitudes,
     inner,
+    logical_encode,
     make_state,
     pad_state,
     sample_angle,
@@ -214,14 +220,15 @@ def test_scattered_psi_stays_accurate_far_from_zero_momentum():
     assert np.max(np.abs(scattered - grid)) <= 1e-13 * np.max(grid)
 
 
-def _grid_density_exact_phases(s, resolution):
+def _psi_exact_phases(s, M, js):
     # e^{i l theta_j} at theta_j = -pi + 2 pi j / M equals e^{2 pi i k / M} with
     # k = l (j - M/2) mod M, reduced in integers so no phase loses accuracy
-    M = resolution
-    js = np.arange(M) - M // 2
-    k = np.outer(js, s.ls) % M
-    psi = np.exp(2j * math.pi * k / M) @ s.amplitudes
-    return np.abs(psi) ** 2
+    k = np.outer(np.asarray(js) - M // 2, s.ls) % M
+    return np.exp(2j * math.pi * k / M) @ s.amplitudes
+
+
+def _grid_density_exact_phases(s, resolution):
+    return np.abs(_psi_exact_phases(s, resolution, np.arange(resolution))) ** 2
 
 
 @pytest.mark.parametrize(
@@ -239,6 +246,63 @@ def test_fft_grid_density_equals_direct_sum(l_min, width, resolution):
     np.testing.assert_array_equal(
         grid.points, -math.pi + 2.0 * math.pi * np.arange(resolution) / resolution
     )
+
+
+@st.composite
+def patterned_states(draw):
+    """Unnormalized states whose amplitudes vanish on a random pattern of momenta.
+
+    |l| <= 100 keeps l times the rounding of a float grid angle under 1e-13.
+    """
+    width = draw(st.integers(1, 60))
+    l_min = draw(st.integers(-100, 100 - width + 1))
+    values = draw(st.lists(
+        st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0)),
+        min_size=width,
+        max_size=width,
+    ))
+    return RotorState(l_min, l_min + width - 1, np.array(values, dtype=np.complex128), False)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    s=patterned_states(),
+    M=st.sampled_from([16, 64, 1024, 4096]),
+    js=st.lists(st.integers(0, 4095), min_size=1, max_size=32),
+)
+@example(s=RotorState(-3, 3, [0, 0, 0, 0.6 + 0.8j, 0, 0, 0], True), M=16,
+         js=[0, 5, 8, 15])  # one nonzero momentum
+@example(s=RotorState(7, 12, [0, 0.5, 0, 0, -0.5j, 0], False), M=64,
+         js=[0, 1, 31, 32, 63])  # zeros at both edges
+@example(s=RotorState(-2, 2, np.zeros(5), False), M=16, js=[0, 3, 8])  # all zero
+def test_scattered_psi_over_the_nonzero_momenta_matches_exact_phases(s, M, js):
+    js = np.asarray(js) % M
+    psi = evaluate_psi(s.amplitudes, s.l_min, -math.pi + 2.0 * math.pi * js / M)
+    # the bound is 0 for the zero vector: psi must vanish exactly there
+    bound = 1e-13 * np.sum(np.abs(s.amplitudes))
+    assert np.max(np.abs(psi - _psi_exact_phases(s, M, js))) <= bound
+
+
+def test_scattered_psi_of_a_wide_comb_touches_only_its_teeth():
+    # N = 14 trunc-gauss xi = m: a window of 688,129 momenta holds 14 teeth; a
+    # sum over the whole window built a 72 MB phase matrix for 64 angles
+    params = CodeParams(2, 14, 1)
+    s = logical_encode(params, 5, Approximant("truncated_gaussian", float(params.m)))
+    assert (s.amplitudes.shape[0], np.count_nonzero(s.amplitudes)) == (688_129, 14)
+    M = 4096
+    grid = angle_distribution(s, M)
+    rng = np.random.default_rng(14)
+    idx = rng.choice(M, size=64, replace=False)
+    thetas = grid.points[idx] + 2.0 * math.pi * rng.integers(-3, 4, size=64)
+    tracemalloc.start()
+    try:
+        psi = theta_wavefunction(s, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    peak_density = np.max(grid.densities)
+    assert np.max(np.abs(np.abs(psi) ** 2 - grid.densities[idx])) <= 1e-12 * peak_density
 
 
 def test_angle_reduction_is_ieee_remainder():

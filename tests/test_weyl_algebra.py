@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotorcode import (
     CodeParams,
+    RotorState,
     ShiftDiagonalOperator,
     angle_shift,
     apply,
@@ -337,3 +338,56 @@ def test_apply_is_exact_on_a_tight_window(op, entries, pad):
     assert np.max(np.abs(padded.amplitudes - widened)) <= 1e-15
     assert tight.normalized
     assert tight.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_apply(op, s):
+    """Every term over the whole window, in term order: (output l_min, amplitudes)."""
+    shifts = op.shifts()
+    lo = s.l_min + min(0, min(shifts))
+    out = np.zeros(s.l_max + max(0, max(shifts)) - lo + 1, dtype=np.complex128)
+    for k, f in op.terms:
+        start = s.l_min + k - lo
+        out[start : start + s.amplitudes.shape[0]] += (
+            np.asarray(f(s.ls), dtype=np.complex128) * s.amplitudes
+        )
+    return lo, out
+
+
+@st.composite
+def patterned_states(draw):
+    """Unnormalized states whose amplitudes vanish on a random pattern of momenta."""
+    width = draw(st.integers(1, 80))
+    l_min = draw(st.integers(-10**6, 10**6))
+    values = draw(st.lists(
+        st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0)),
+        min_size=width,
+        max_size=width,
+    ))
+    return RotorState(l_min, l_min + width - 1, np.array(values, dtype=np.complex128), False)
+
+
+# a sum of three operators: one output momentum collects several terms, so
+# the order in which apply adds them shows in the last bit
+TERM_SUMS = st.builds(
+    lambda a, b, c: ShiftDiagonalOperator(a.terms + b.terms + c.terms), ATOMS, ATOMS, ATOMS
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(op=st.one_of(UNITARIES, TERM_SUMS), s=patterned_states())
+@example(op=compose(qubit_X(1, 1), qudit_pair(2, 3, 1)[1]),
+         s=RotorState(-3, 3, [0, 0, 0, 0.6 + 0.8j, 0, 0, 0], True))  # one nonzero momentum
+@example(op=compose(phase_gate(1, 2, 3), angle_shift(0.3)),
+         s=RotorState(7, 12, [0, 0.5, 0, 0, -0.5j, 0], False))  # zeros at both edges
+@example(op=qudit_pair(1, 5, 1)[1], s=RotorState(-2, 2, np.zeros(5), False))  # all zero
+def test_apply_on_the_support_is_bit_identical_to_the_dense_term_sum(op, s):
+    lo, dense = _dense_apply(op, s)
+    out = apply(op, s)
+    assert (out.l_min, out.l_max) == (lo, lo + dense.shape[0] - 1)
+    assert out.amplitudes.tobytes() == dense.tobytes()
+
+
+def test_apply_refuses_a_window_past_the_momentum_cap():
+    # the kicked window would hold 10^12 momenta (14.6 TiB): refused before allocating
+    with pytest.raises(ValueError, match="cap of 33554432"):
+        apply(momentum_shift(10**12), basis(0))
