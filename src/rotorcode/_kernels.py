@@ -1,13 +1,14 @@
 """Angular wavefunction kernels and the tabulated inverse-CDF sampler of sample_angle.
 
-psi(theta) = sum_l a_l e^{i l theta} is evaluated two ways:
+psi(theta) = sum_j a_j e^{i l_j theta} over a state's support (momenta l_j,
+amplitudes a_j) is evaluated two ways:
 
 * on the uniform grid theta_j = -pi + 2 pi j / M by one inverse FFT of the
   amplitudes folded mod M (angle distributions, sample_angle);
-* at scattered angles by a chunked sum over the nonzero amplitudes (theta_wavefunction).
+* at scattered angles by a chunked sum over the support (theta_wavefunction).
 
-The folding is integer arithmetic, so the grid path is exact for windows
-wider than M and for windows far from l = 0.
+The folding is integer arithmetic, so the grid path is exact for supports
+wider than M and for supports far from l = 0.
 """
 
 from __future__ import annotations
@@ -22,36 +23,31 @@ from .errors import NumericalError
 TWO_PI = 2.0 * math.pi
 
 
-def evaluate_psi(amplitudes: np.ndarray, l_min: int, thetas: np.ndarray) -> np.ndarray:
-    """psi(theta_i) = sum_l amplitudes[l - l_min] * e^{i l theta_i} over the nonzero amplitudes."""
-    amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+def evaluate_psi(amps: np.ndarray, ls: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """psi(theta_i) = sum_j amps[j] e^{i ls[j] theta_i}."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-    offsets = np.flatnonzero(amplitudes)
+    base = int(ls[0]) if ls.shape[0] else 0
+    offsets = ls - base
     out = np.empty(thetas.shape[0], dtype=np.complex128)
     # ~32 MB of complex128 per chunk of the phase matrix
     chunk = max(1, (2 << 20) // max(1, offsets.shape[0]))
     for start in range(0, thetas.shape[0], chunk):
         block = thetas[start : start + chunk]
-        # e^{i l_min theta} factored out, so |psi| keeps its accuracy at large |l|
-        out[start : start + chunk] = (
-            np.exp(1j * np.outer(block, offsets)) @ amplitudes[offsets]
-        ) * np.exp(1j * int(l_min) * block)
+        # e^{i ls[0] theta} factored out, so |psi| keeps its accuracy at large |l|
+        phases = np.exp(1j * np.outer(block, offsets))
+        out[start : start + chunk] = (phases @ amps) * np.exp(1j * base * block)
     return out
 
 
-def psi_on_grid(amplitudes: np.ndarray, l_min: int, resolution: int) -> np.ndarray:
+def psi_on_grid(amps: np.ndarray, ls: np.ndarray, resolution: int) -> np.ndarray:
     """psi at theta_j = -pi + 2 pi j / M, j = 0..M-1, for M = resolution.
 
     psi(theta_j) = M ifft(b)_j with b_k = sum_{l = k (mod M)} (-1)^l a_l.
     """
-    n = len(amplitudes)
     M = int(resolution)
-    rows = -(-n // M)
-    folded = np.zeros(rows * M, dtype=np.complex128)
-    folded[:n] = amplitudes
-    # (-1)^l from the parity of l = l_min + i
-    folded[(int(l_min) + 1) % 2 : n : 2] *= -1.0
-    b = np.roll(folded.reshape(rows, M).sum(axis=0), int(l_min) % M)
+    b = np.zeros(M, dtype=np.complex128)
+    np.add.at(b, ls % M, np.where(ls % 2 == 0, amps, -amps))
     return M * np.fft.ifft(b)
 
 

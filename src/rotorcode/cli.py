@@ -311,10 +311,9 @@ def cmd_codeword(s: Settings) -> int:
     if wh is not None and wh < 1:
         raise UsageError("--window-half must be >= 1")
     state = logical_encode(params, k, approx, *((-wh, wh) if wh is not None else ()))
-    teeth = np.flatnonzero(state.amplitudes)
-    amps = state.amplitudes[teeth]
+    amps = state.values
     table = {
-        "l": state.l_min + teeth,
+        "l": state.support,
         "amplitude_re": amps.real,
         "amplitude_im": amps.imag,
         "probability": np.abs(amps) ** 2,

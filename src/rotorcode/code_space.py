@@ -28,13 +28,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .rotor_state import RotorState
+from .rotor_state import RotorState, from_amplitudes
 
 TAIL_TOL = 1e-12
 
-# Largest momentum window a codeword may span (512 MiB of complex128
-# amplitudes). A tiny cosine-power exponent or an explicit --window-half can
-# ask for terabytes; those fail with ValueError before anything is allocated.
+# Largest momentum window a codeword may span: the encode evaluates its
+# envelope on the whole window. A tiny cosine-power exponent or an explicit
+# --window-half can ask for terabytes; those fail with ValueError before
+# anything is allocated.
 MAX_WINDOW_MOMENTA = 1 << 25
 
 FAMILIES = (
@@ -230,23 +231,22 @@ def ideal_comb(residue: int, period: int, l_lo: int, l_hi: int) -> RotorState:
     if l_hi < l_lo:
         raise ValueError("need l_lo <= l_hi")
     _check_window_size(l_lo, l_hi)
-    amps = np.zeros(l_hi - l_lo + 1, dtype=np.complex128)
-    teeth = amps[_teeth(residue, period, l_lo)]
+    teeth = _teeth(residue, period, l_lo, l_hi)
     if teeth.size == 0:
         raise ValueError(
             f"no l = {residue} (mod {period}) inside [{l_lo}, {l_hi}]"
         )
-    teeth[:] = 1.0 / math.sqrt(teeth.size)
-    return RotorState(l_lo, l_hi, amps, True)
+    return RotorState(l_lo, l_hi, teeth, np.full(teeth.size, 1.0 / math.sqrt(teeth.size)), True)
 
 
-def _teeth(residue: int, period: int, l_lo: int) -> slice:
-    """Window indices of l = residue (mod period) for a window starting at l_lo.
+def _teeth(residue: int, period: int, l_lo: int, l_hi: int) -> np.ndarray:
+    """The momenta l = residue (mod period) inside [l_lo, l_hi], ascending.
 
-    Python ints throughout: a period past int64 gives at most one tooth, not
-    an OverflowError.
+    Python ints until the window bounds them: a period past int64 gives at
+    most one tooth, not an OverflowError.
     """
-    return slice((residue - l_lo) % period, None, period)
+    first = min(l_lo + (residue - l_lo) % period, l_hi + 1)
+    return np.arange(first, l_hi + 1, min(period, l_hi - l_lo + 1), dtype=np.int64)
 
 
 def ideal_codeword(
@@ -262,7 +262,7 @@ def ideal_codeword(
         w = default_window_half(params, None)
         l_lo, l_hi = -w, w
     state = ideal_comb((k * params.r) % params.m, params.m, l_lo, l_hi)
-    if int(np.count_nonzero(state.amplitudes)) < 2:
+    if state.support.shape[0] < 2:
         raise ValueError("window holds fewer than two comb teeth; widen it")
     return state
 
@@ -395,9 +395,7 @@ def approx_basis_state(
     ls = np.arange(l_lo, l_hi + 1)
     cs = envelope_coefficients(approx, ls)
     _check_tail(cs, l_lo, l_hi)
-    amps = cs * np.exp(-1j * float(theta0) * ls)
-    amps = amps / np.linalg.norm(amps)
-    return RotorState(l_lo, l_hi, amps.astype(np.complex128), True)
+    return from_amplitudes(l_lo, cs * np.exp(-1j * float(theta0) * ls))
 
 
 def approx_codeword(
@@ -422,18 +420,17 @@ def approx_codeword(
     ls = np.arange(l_lo, l_hi + 1)
     cs = envelope_coefficients(approx, ls)
     _check_tail(cs, l_lo, l_hi)
-    amps = np.zeros_like(cs)
-    teeth = _teeth(k * params.r, params.m, l_lo)
-    amps[teeth] = cs[teeth]
-    teeth_mass = float(np.sum(np.abs(amps) ** 2))
-    if int(np.count_nonzero(np.abs(amps) > 0.0)) < 2:
+    teeth = _teeth(k * params.r, params.m, l_lo, l_hi)
+    amps = cs[teeth - l_lo]
+    weighted = amps != 0
+    teeth, amps = teeth[weighted], amps[weighted]
+    if teeth.shape[0] < 2:
         # no wider window helps once the envelope is exactly 0 on both sides of one about 0
         beyond = envelope_coefficients(approx, np.array([l_lo - 1, l_hi + 1]))
         vanishes = l_lo <= 0 <= l_hi and not beyond.any()
         fix = "the envelope is 0 beyond it" if vanishes else "widen it"
         raise ValueError(f"window holds fewer than two comb teeth with weight; {fix}")
-    amps = amps / math.sqrt(teeth_mass)
-    return RotorState(l_lo, l_hi, amps.astype(np.complex128), True)
+    return RotorState(l_lo, l_hi, teeth, amps / math.sqrt(float(np.sum(amps**2))), True)
 
 
 def logical_encode(

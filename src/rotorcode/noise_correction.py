@@ -36,7 +36,7 @@ from . import weyl_algebra as wa
 from .analysis import angle_deviation_sampler
 from .errors import NumericalError
 from .code_space import Approximant, CodeParams, logical_encode
-from .rotor_state import RotorState, fidelity
+from .rotor_state import RotorState, fidelity, sample_momentum
 
 EXPECTATION_TOL = 1e-12
 RESIDUE_MASS_TOL = 1e-15
@@ -101,12 +101,15 @@ def apply_error(s: RotorState, event: ErrorEvent) -> RotorState:
 
 
 def _vm_expectation(s: RotorState, m: int) -> complex:
-    amps = s.amplitudes
-    if amps.shape[0] <= m:
+    if s.l_max - s.l_min + 1 <= m:
         raise ValueError(
             f"window spans fewer than m+1 = {m + 1} momenta; angular syndrome undefined"
         )
-    return complex(np.vdot(amps[m:], amps[:-m]))
+    # <V^m> = sum_l conj(a_{l+m}) a_l over the l whose l + m is in the support too
+    _, up, down = np.intersect1d(
+        s.support, s.support + m, assume_unique=True, return_indices=True
+    )
+    return complex(np.vdot(s.values[up], s.values[down]))
 
 
 def _theta_residue_from_state(s: RotorState, m: int) -> float:
@@ -127,9 +130,8 @@ def measure_syndrome_expected(s: RotorState, params: CodeParams) -> Syndrome:
     r = params.r
     if r == 1:
         return Syndrome(theta_residue=theta, q=0)
-    ls = s.ls
-    weights = np.abs(s.amplitudes) ** 2
-    phases = np.exp(2j * math.pi * (ls % r) / r)
+    weights = np.abs(s.values) ** 2
+    phases = np.exp(2j * math.pi * (s.support % r) / r)
     ev = complex(np.sum(weights * phases))
     if abs(ev) < EXPECTATION_TOL:
         raise NumericalError(
@@ -152,22 +154,17 @@ def measure_syndrome_sampled(
     r = params.r
     if not s.normalized:
         raise ValueError("syndrome sampling needs a normalized state")
-    probs = np.abs(s.amplitudes) ** 2
-    total = float(probs.sum())
-    probs = probs / total
-    idx = int(rng.choice(probs.shape[0], p=probs))
-    l_sample = int(s.l_min + idx)
-    residue = l_sample % r
+    residue = sample_momentum(s, rng) % r
 
-    mask = (s.ls % r) == residue
-    mass = float(np.sum(np.abs(s.amplitudes[mask]) ** 2))
+    mask = (s.support % r) == residue
+    kept = s.values[mask]
+    mass = float(np.sum(np.abs(kept) ** 2))
     if mass < RESIDUE_MASS_TOL:
         raise NumericalError(
             f"sampled residue class {residue} (mod {r}) carries mass "
             f"{mass:.3e} < {RESIDUE_MASS_TOL:.0e}"
         )
-    collapsed_amps = np.where(mask, s.amplitudes, 0.0) / math.sqrt(mass)
-    collapsed = RotorState(s.l_min, s.l_max, collapsed_amps, True)
+    collapsed = RotorState(s.l_min, s.l_max, s.support[mask], kept / math.sqrt(mass), True)
 
     theta = _theta_residue_from_state(collapsed, params.m)
     return Syndrome(theta_residue=theta, q=centered_residue(residue, r)), collapsed

@@ -1,14 +1,16 @@
 """Finite-truncation rotor states in the angular-momentum basis.
 
 A rotor carries one 2pi-periodic coordinate theta and a conjugate integer
-angular momentum l.  States are stored as complex amplitude vectors over a
-truncated momentum window [l_min, l_max]:
+angular momentum l.  A state is a finite superposition inside a truncated
+momentum window [l_min, l_max]:
 
     |s> = sum_l a_l |l>,     psi(theta) = <theta|s> = sum_l a_l e^{i l theta},
 
-with <theta|l> = e^{i l theta}.  All angular densities and integrals use the
-measure dtheta/(2pi), under which a normalized amplitude vector has a unit-
-mass angular density (Parseval).
+with <theta|l> = e^{i l theta}.  Only the a_l != 0 are stored, in `values`,
+at the sorted momenta `support`, so every operation costs O(support), not
+O(window).  All angular densities and integrals use the measure
+dtheta/(2pi), under which a normalized state has a unit-mass angular
+density (Parseval).
 
 States are immutable values: every operation returns a fresh state.
 """
@@ -16,7 +18,7 @@ States are immutable values: every operation returns a fresh state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,52 +31,69 @@ NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RotorState:
-    """Amplitudes over the momentum window [l_min, l_max] (inclusive)."""
+    """Amplitudes `values` at the sorted, distinct momenta `support`, inside
+    the momentum window [l_min, l_max] (inclusive)."""
 
     l_min: int
     l_max: int
-    amplitudes: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
     normalized: bool
 
     def __post_init__(self) -> None:
         if self.l_min > self.l_max:
             raise ValueError(f"empty window: l_min={self.l_min} > l_max={self.l_max}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.shape[0] != self.l_max - self.l_min + 1:
+        ls = np.array(self.support, dtype=np.int64)
+        vals = np.array(self.values, dtype=np.complex128)
+        if ls.ndim != 1 or vals.shape != ls.shape:
+            raise ValueError(f"support {ls.shape} does not match values {vals.shape}")
+        if not np.isfinite(vals.view(np.float64)).all():
+            raise ValueError("non-finite amplitude")
+        if ls.shape[0] and not (
+            self.l_min <= ls[0] and ls[-1] <= self.l_max and (ls[1:] > ls[:-1]).all()
+        ):
             raise ValueError(
-                f"amplitude length {amps.shape} does not match window "
+                f"support must be sorted, distinct and inside the window "
                 f"[{self.l_min}, {self.l_max}]"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("non-finite amplitude")
         if self.normalized:
-            norm2 = float(np.sum(np.abs(amps) ** 2))
+            norm2 = np.vdot(vals, vals).real
             if abs(norm2 - 1.0) > NORM_TOL:
-                raise ValueError(f"normalized flag set but |a|^2 sums to {norm2!r}")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+                raise ValueError(f"normalized flag set but |a|^2 sums to {float(norm2)!r}")
+        ls.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "support", ls)
+        object.__setattr__(self, "values", vals)
 
     @property
     def ls(self) -> np.ndarray:
         """Momentum values carried by the window."""
         return np.arange(self.l_min, self.l_max + 1)
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only dense amplitudes over the window, zero off the support."""
+        amps = np.zeros(self.l_max - self.l_min + 1, dtype=np.complex128)
+        amps[self.support - self.l_min] = self.values
+        amps.flags.writeable = False
+        return amps
+
     def amplitude_at(self, l: int) -> complex:
-        """a_l, zero outside the window."""
-        if l < self.l_min or l > self.l_max:
-            return 0.0 + 0.0j
-        return complex(self.amplitudes[l - self.l_min])
+        """a_l, zero off the support."""
+        i = int(self.support.searchsorted(l))
+        if i < self.support.shape[0] and self.support[i] == l:
+            return complex(self.values[i])
+        return 0.0 + 0.0j
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values))
 
     def support_hull(self, cutoff: float = 0.0) -> tuple[int, int]:
         """Tight [l_lo, l_hi] containing every amplitude with |a| > cutoff."""
-        idx = np.nonzero(np.abs(self.amplitudes) > cutoff)[0]
+        idx = np.nonzero(np.abs(self.values) > cutoff)[0]
         if idx.size == 0:
             raise ValueError("state has no support above cutoff")
-        return int(self.l_min + idx[0]), int(self.l_min + idx[-1])
+        return int(self.support[idx[0]]), int(self.support[idx[-1]])
 
 
 @dataclass(frozen=True)
@@ -109,38 +128,37 @@ class AngleGrid:
         return float(np.sum(np.diff(pts) * (closed[1:] + closed[:-1]) / 2.0) / TWO_PI)
 
 
+def _state(l_min: int, l_max: int, support, values, normalize: bool) -> RotorState:
+    nrm = np.linalg.norm(values)
+    if normalize:
+        if nrm == 0.0:
+            raise ValueError("cannot normalize the zero state")
+        values = values / nrm
+    return RotorState(l_min, l_max, support, values, normalize or abs(nrm - 1.0) <= NORM_TOL)
+
+
 def make_state(entries: list[tuple[int, complex]], normalize: bool = True) -> RotorState:
     """Build a state from (l, amplitude) pairs on the tight momentum hull."""
     if not entries:
         raise ValueError("entries must be non-empty")
-    ls = [int(l) for l, _ in entries]
+    ls, values = zip(*sorted(((int(l), a) for l, a in entries), key=lambda e: e[0]))
     if len(set(ls)) != len(ls):
-        raise ValueError(f"duplicate momentum index in entries: {sorted(ls)}")
-    l_min, l_max = min(ls), max(ls)
-    amps = np.zeros(l_max - l_min + 1, dtype=np.complex128)
-    for l, a in entries:
-        amps[l - l_min] = a
-    return from_amplitudes(l_min, amps, normalize)
+        raise ValueError(f"duplicate momentum index in entries: {list(ls)}")
+    values = np.array(values, dtype=np.complex128)
+    keep = values != 0
+    return _state(ls[0], ls[-1], np.array(ls)[keep], values[keep], normalize)
 
 
 def from_amplitudes(l_min: int, amplitudes: np.ndarray, normalize: bool = True) -> RotorState:
-    """Wrap an amplitude array starting at l_min into a state."""
+    """Wrap a dense amplitude array starting at l_min into a state."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    nrm = np.linalg.norm(amps)
-    if normalize:
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        amps = amps / nrm
-    return RotorState(
-        int(l_min),
-        int(l_min) + amps.shape[0] - 1,
-        amps,
-        normalized=normalize or abs(nrm - 1.0) <= NORM_TOL,
-    )
+    idx = (amps != 0).nonzero()[0]
+    l_min = int(l_min)
+    return _state(l_min, l_min + amps.shape[0] - 1, l_min + idx, amps[idx], normalize)
 
 
 def pad_state(s: RotorState, margin: int) -> RotorState:
-    """Same state on a window widened by `margin` zeros on both sides.
+    """Same state on a window widened by `margin` momenta on both sides.
 
     Operator application never needs it: `apply` widens its output window by
     the operator's shift hull.
@@ -149,25 +167,13 @@ def pad_state(s: RotorState, margin: int) -> RotorState:
         raise ValueError("margin must be >= 0")
     if margin == 0:
         return s
-    amps = np.concatenate(
-        [
-            np.zeros(margin, dtype=np.complex128),
-            s.amplitudes,
-            np.zeros(margin, dtype=np.complex128),
-        ]
-    )
-    return RotorState(s.l_min - margin, s.l_max + margin, amps, s.normalized)
+    return replace(s, l_min=s.l_min - margin, l_max=s.l_max + margin)
 
 
 def inner(a: RotorState, b: RotorState) -> complex:
-    """<a|b> = sum_l conj(a_l) b_l over the window intersection."""
-    lo = max(a.l_min, b.l_min)
-    hi = min(a.l_max, b.l_max)
-    if lo > hi:
-        return 0.0 + 0.0j
-    sa = a.amplitudes[lo - a.l_min : hi - a.l_min + 1]
-    sb = b.amplitudes[lo - b.l_min : hi - b.l_min + 1]
-    return complex(np.vdot(sa, sb))
+    """<a|b> = sum_l conj(a_l) b_l over the momenta both supports hold."""
+    _, ia, ib = np.intersect1d(a.support, b.support, assume_unique=True, return_indices=True)
+    return complex(np.vdot(a.values[ia], b.values[ib]))
 
 
 def fidelity(a: RotorState, b: RotorState) -> float:
@@ -197,7 +203,7 @@ def _reduce_angles(thetas: np.ndarray) -> np.ndarray:
 def theta_wavefunction(s: RotorState, theta):
     """psi(theta) = sum_l a_l e^{i l theta}; 2pi-periodic, scalar or array theta."""
     th = np.asarray(theta, dtype=np.float64)
-    out = evaluate_psi(s.amplitudes, s.l_min, _reduce_angles(th.ravel()))
+    out = evaluate_psi(s.values, s.support, _reduce_angles(th.ravel()))
     if np.isscalar(theta):
         return complex(out[0])
     return out.reshape(th.shape)
@@ -210,7 +216,7 @@ def angle_distribution(s: RotorState, resolution: int = 4096) -> AngleGrid:
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     pts = -math.pi + TWO_PI * np.arange(resolution) / resolution
-    psi = psi_on_grid(s.amplitudes, s.l_min, resolution)
+    psi = psi_on_grid(s.values, s.support, resolution)
     return AngleGrid(points=pts, densities=np.abs(psi) ** 2)
 
 
@@ -218,9 +224,9 @@ def sample_momentum(s: RotorState, rng: np.random.Generator) -> int:
     """Draw l with Born probability |a_l|^2."""
     if not s.normalized:
         raise ValueError("sample_momentum requires a normalized state")
-    probs = np.abs(s.amplitudes) ** 2
+    probs = np.abs(s.values) ** 2
     probs = probs / probs.sum()
-    return int(s.l_min + rng.choice(probs.shape[0], p=probs))
+    return int(s.support[rng.choice(probs.shape[0], p=probs)])
 
 
 def sample_angle(

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .code_space import _check_window_size
-from .rotor_state import RotorState
+from .rotor_state import RotorState, from_amplitudes
 
 DiagonalFn = Callable[[np.ndarray], np.ndarray]
 
@@ -59,18 +59,25 @@ def apply(op: ShiftDiagonalOperator, s: RotorState) -> RotorState:
 
     The output window is the input's widened by the shift hull
     [min(0, min shift), max(0, max shift)], so no amplitude is ever lost.
+    The output support is the union of the shifted supports, less the
+    momenta where the terms cancel exactly.
     """
     shifts = op.shifts()
     lo = s.l_min + min(0, min(shifts))
     hi = s.l_max + max(0, max(shifts))
     _check_window_size(lo, hi)
-    out = np.zeros(hi - lo + 1, dtype=np.complex128)
-    idx = np.flatnonzero(s.amplitudes)  # the momenta where the state has weight
-    ls, amps = s.ls[idx], s.amplitudes[idx]
+    ls, amps = s.support, s.values
+    if min(shifts) == max(shifts):
+        out_ls = ls + shifts[0]
+    else:
+        out_ls = np.unique(np.concatenate([ls + k for k in shifts]))
+    out = np.zeros(out_ls.shape[0], dtype=np.complex128)
     for k, f in op.terms:
-        vals = np.asarray(f(ls), dtype=np.complex128)
-        out[idx + (s.l_min + k - lo)] += vals * amps
-    return RotorState(lo, hi, out, abs(np.linalg.norm(out) - 1.0) <= 1e-12)
+        out[out_ls.searchsorted(ls + k)] += np.asarray(f(ls), dtype=np.complex128) * amps
+    keep = out != 0
+    if not keep.all():
+        out_ls, out = out_ls[keep], out[keep]
+    return RotorState(lo, hi, out_ls, out, abs(np.linalg.norm(out) - 1.0) <= 1e-12)
 
 
 def identity() -> ShiftDiagonalOperator:
@@ -212,11 +219,10 @@ def compose(
 
 
 def _aligned_difference(x: RotorState, y: RotorState) -> float:
-    lo = min(x.l_min, y.l_min)
-    hi = max(x.l_max, y.l_max)
-    buf = np.zeros(hi - lo + 1, dtype=np.complex128)
-    buf[x.l_min - lo : x.l_max - lo + 1] += x.amplitudes
-    buf[y.l_min - lo : y.l_max - lo + 1] -= y.amplitudes
+    ls = np.union1d(x.support, y.support)
+    buf = np.zeros(ls.shape[0], dtype=np.complex128)
+    buf[ls.searchsorted(x.support)] += x.values
+    buf[ls.searchsorted(y.support)] -= y.values
     return float(np.linalg.norm(buf))
 
 
@@ -283,10 +289,8 @@ def random_probes(
         )
         amps = rng.normal(size=support) + 1j * rng.normal(size=support)
         buf = np.zeros(2 * window_half + 1, dtype=np.complex128)
-        for l, a in zip(ls, amps):
-            buf[int(l) + window_half] += a
-        buf /= np.linalg.norm(buf)
-        probes.append(RotorState(-window_half, window_half, buf, True))
+        np.add.at(buf, ls + window_half, amps)  # a repeated momentum sums its draws
+        probes.append(from_amplitudes(-window_half, buf))
     return probes
 
 

@@ -1,6 +1,7 @@
 """Error channel, syndrome read-off, correction, and round-trip statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from rotorcode import (
     CodeParams,
     ErrorEvent,
     NumericalError,
+    angle_distribution,
+    apply,
     apply_error,
     centered_angle,
     centered_residue,
@@ -22,7 +25,9 @@ from rotorcode import (
     make_state,
     measure_syndrome_expected,
     measure_syndrome_sampled,
+    logical_encode,
     pe_monte_carlo,
+    qubit_X,
     run_round_trip,
     theta_wavefunction,
 )
@@ -333,3 +338,38 @@ def test_round_trip_expected_mode_and_validation():
         run_round_trip(PARAMS, 1, ErrorEvent(0.0, 0), 4, rng, syndrome_mode="psychic")
     with pytest.raises(ValueError, match="at least one trial"):
         run_round_trip(PARAMS, 1, ErrorEvent(0.0, 0), 0, rng)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_register_chain_costs_its_support_not_its_window():
+    # N = 14 trunc-gauss xi = m: 14 teeth in a window of 688,129 momenta; the
+    # dense window peaked at ~53 MB over this chain and ~42 MB on the grid
+    params = CodeParams(2, 14, 1)
+    word = logical_encode(params, 5, Approximant("truncated_gaussian", float(params.m)))
+
+    def chain():
+        gated = apply(qubit_X(1, params.r), word)
+        hit = apply_error(gated, ErrorEvent(2e-5, -1))
+        expected = measure_syndrome_expected(hit, params)
+        sampled, post = measure_syndrome_sampled(hit, params, np.random.default_rng(14))
+        fids = [fidelity(correct(hit, expected, params), gated),
+                fidelity(correct(post, sampled, params), gated)]
+        return expected, sampled, fids
+
+    (expected, sampled, fids), peak = _traced_peak(chain)
+    assert peak < 1 << 20
+    # the syndromes the dense window gave: q = -1, theta = 2e-05
+    for syndrome in (expected, sampled):
+        assert syndrome.q == -1
+        assert abs(syndrome.theta_residue - 2e-05) <= 1e-15
+    assert min(fids) == pytest.approx(1.0, abs=1e-12)
+    _, peak = _traced_peak(lambda: angle_distribution(word, 4096))
+    assert peak < 1 << 20

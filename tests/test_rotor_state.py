@@ -12,20 +12,27 @@ from rotorcode import (
     AngleGrid,
     Approximant,
     CodeParams,
+    NumericalError,
     RotorState,
     angle_distribution,
+    centered_angle,
+    centered_residue,
     fidelity,
     from_amplitudes,
     inner,
     logical_encode,
     make_state,
+    measure_syndrome_expected,
+    measure_syndrome_sampled,
     pad_state,
     sample_angle,
     sample_momentum,
     theta_wavefunction,
 )
 from rotorcode._kernels import evaluate_psi, psi_on_grid
+from rotorcode.noise_correction import EXPECTATION_TOL, RESIDUE_MASS_TOL, _vm_expectation
 from rotorcode.rotor_state import _reduce_angles
+from rotorcode.weyl_algebra import _aligned_difference
 
 
 def test_make_state_tight_hull_and_normalization():
@@ -54,13 +61,13 @@ def test_make_state_rejects_bad_input(entries, message):
 
 def test_rotor_state_validation():
     with pytest.raises(ValueError, match="empty window"):
-        RotorState(3, 1, np.zeros(0), normalized=False)
+        RotorState(3, 1, np.zeros(0, dtype=np.int64), np.zeros(0), normalized=False)
     with pytest.raises(ValueError, match="does not match"):
-        RotorState(0, 2, np.zeros(2), normalized=False)
+        RotorState(0, 2, np.arange(2), np.zeros(3), normalized=False)
     with pytest.raises(ValueError, match="non-finite"):
-        RotorState(0, 0, np.array([np.nan + 0j]), normalized=False)
+        RotorState(0, 0, np.array([0]), np.array([np.nan + 0j]), normalized=False)
     with pytest.raises(ValueError, match="normalized flag"):
-        RotorState(0, 1, np.array([1.0, 1.0], dtype=complex), normalized=True)
+        RotorState(0, 1, np.array([0, 1]), np.array([1.0, 1.0], dtype=complex), normalized=True)
 
 
 def test_amplitudes_are_immutable():
@@ -204,7 +211,7 @@ def test_kernel_fallback_agrees_with_dispatcher():
     s = from_amplitudes(-128, amps)
     thetas = rng.uniform(-math.pi, math.pi, size=64)
     via_state = theta_wavefunction(s, thetas)
-    reference = evaluate_psi(s.amplitudes, s.l_min, thetas)
+    reference = evaluate_psi(s.values, s.support, thetas)
     np.testing.assert_allclose(via_state, reference, atol=5e-12)
 
 
@@ -215,8 +222,9 @@ def test_scattered_psi_stays_accurate_far_from_zero_momentum():
     amps = rng.normal(size=400) + 1j * rng.normal(size=400)
     M = 4096
     thetas = -math.pi + 2.0 * math.pi * np.arange(M) / M
-    scattered = np.abs(evaluate_psi(amps, 10**6, thetas)) ** 2
-    grid = np.abs(psi_on_grid(amps, 10**6, M)) ** 2
+    ls = 10**6 + np.arange(400)
+    scattered = np.abs(evaluate_psi(amps, ls, thetas)) ** 2
+    grid = np.abs(psi_on_grid(amps, ls, M)) ** 2
     assert np.max(np.abs(scattered - grid)) <= 1e-13 * np.max(grid)
 
 
@@ -261,7 +269,7 @@ def patterned_states(draw):
         min_size=width,
         max_size=width,
     ))
-    return RotorState(l_min, l_min + width - 1, np.array(values, dtype=np.complex128), False)
+    return from_amplitudes(l_min, np.array(values, dtype=np.complex128), normalize=False)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -270,14 +278,15 @@ def patterned_states(draw):
     M=st.sampled_from([16, 64, 1024, 4096]),
     js=st.lists(st.integers(0, 4095), min_size=1, max_size=32),
 )
-@example(s=RotorState(-3, 3, [0, 0, 0, 0.6 + 0.8j, 0, 0, 0], True), M=16,
+@example(s=from_amplitudes(-3, [0, 0, 0, 0.6 + 0.8j, 0, 0, 0], normalize=False), M=16,
          js=[0, 5, 8, 15])  # one nonzero momentum
-@example(s=RotorState(7, 12, [0, 0.5, 0, 0, -0.5j, 0], False), M=64,
+@example(s=from_amplitudes(7, [0, 0.5, 0, 0, -0.5j, 0], normalize=False), M=64,
          js=[0, 1, 31, 32, 63])  # zeros at both edges
-@example(s=RotorState(-2, 2, np.zeros(5), False), M=16, js=[0, 3, 8])  # all zero
+@example(s=from_amplitudes(-2, np.zeros(5), normalize=False), M=16,
+         js=[0, 3, 8])  # all zero
 def test_scattered_psi_over_the_nonzero_momenta_matches_exact_phases(s, M, js):
     js = np.asarray(js) % M
-    psi = evaluate_psi(s.amplitudes, s.l_min, -math.pi + 2.0 * math.pi * js / M)
+    psi = evaluate_psi(s.values, s.support, -math.pi + 2.0 * math.pi * js / M)
     # the bound is 0 for the zero vector: psi must vanish exactly there
     bound = 1e-13 * np.sum(np.abs(s.amplitudes))
     assert np.max(np.abs(psi - _psi_exact_phases(s, M, js))) <= bound
@@ -336,3 +345,160 @@ def test_sample_angle_stays_in_range_when_density_peaks_at_pi():
     draws = np.array([sample_angle(s, rng, resolution=16) for _ in range(2000)])
     assert np.all((draws >= -math.pi) & (draws <= math.pi))
     assert np.mean(np.abs(draws) > math.pi / 2.0) > 0.75
+
+
+# The support layout against dense references: each reference is the
+# dense-window computation the support replaced.
+SUPPORT_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+ALL_ZERO = from_amplitudes(-2, np.zeros(5), normalize=False)
+EDGE_ZEROS = from_amplitudes(7, [0, 0.5, 0, 0, -0.5j, 0], normalize=False)
+SYNDROME_PARAMS = st.sampled_from([
+    CodeParams(2, 1, 0), CodeParams(2, 1, 1), CodeParams(3, 1, 1), CodeParams(2, 1, 2),
+    CodeParams(2, 2, 2),
+])  # m = 2, 6, 9, 10, 20
+
+
+def _scale(*states):
+    """(sum |a|)^2 over the states: the size of a rounding-level difference."""
+    return sum(float(np.sum(np.abs(s.amplitudes))) for s in states) ** 2
+
+
+def _inner_dense(a, b):
+    lo, hi = max(a.l_min, b.l_min), min(a.l_max, b.l_max)
+    if lo > hi:
+        return 0j
+    sa = a.amplitudes[lo - a.l_min : hi - a.l_min + 1]
+    sb = b.amplitudes[lo - b.l_min : hi - b.l_min + 1]
+    return complex(np.vdot(sa, sb))
+
+
+def _aligned_difference_dense(x, y):
+    lo, hi = min(x.l_min, y.l_min), max(x.l_max, y.l_max)
+    buf = np.zeros(hi - lo + 1, dtype=np.complex128)
+    buf[x.l_min - lo : x.l_max - lo + 1] += x.amplitudes
+    buf[y.l_min - lo : y.l_max - lo + 1] -= y.amplitudes
+    return float(np.linalg.norm(buf))
+
+
+def _vm_expectation_dense(s, m):
+    amps = s.amplitudes
+    return complex(np.vdot(amps[m:], amps[:-m]))
+
+
+def _momentum_expectation_dense(s, r):
+    weights = np.abs(s.amplitudes) ** 2
+    return complex(np.sum(weights * np.exp(2j * math.pi * (s.ls % r) / r)))
+
+
+def _collapse_dense(s, r, rng):
+    """Born draw over the whole window, then the projection onto its residue mod r."""
+    probs = np.abs(s.amplitudes) ** 2
+    idx = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
+    residue = (s.l_min + idx) % r
+    mask = (s.ls % r) == residue
+    mass = float(np.sum(np.abs(s.amplitudes[mask]) ** 2))
+    return residue, mass, np.where(mask, s.amplitudes, 0.0) / math.sqrt(mass)
+
+
+def _sector_distance(a, b, m):
+    return abs(centered_angle(a - b, 2.0 * math.pi / m)[0])
+
+
+@SUPPORT_PROPERTY
+@given(
+    l_min=st.integers(-100, 100),
+    values=st.lists(
+        st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0)), min_size=1, max_size=60
+    ),
+)
+@example(l_min=-2, values=[0j] * 5)  # all zero
+@example(l_min=7, values=[0, 0.5, 0, 0, -0.5j, 0])  # zeros at both edges
+def test_from_amplitudes_keeps_exactly_the_nonzero_momenta(l_min, values):
+    a = np.array(values, dtype=np.complex128)
+    s = from_amplitudes(l_min, a, normalize=False)
+    assert (s.l_min, s.l_max) == (l_min, l_min + a.shape[0] - 1)
+    np.testing.assert_array_equal(s.amplitudes, a)
+    np.testing.assert_array_equal(s.support, l_min + np.flatnonzero(a))
+    np.testing.assert_array_equal(s.values, a[a != 0])
+
+
+@SUPPORT_PROPERTY
+@given(a=patterned_states(), b=patterned_states())
+@example(a=ALL_ZERO, b=EDGE_ZEROS)
+@example(a=EDGE_ZEROS, b=EDGE_ZEROS)
+def test_inner_and_aligned_difference_match_the_dense_window(a, b):
+    bound = 1e-15 * _scale(a, b)
+    assert abs(inner(a, b) - _inner_dense(a, b)) <= bound
+    assert abs(_aligned_difference(a, b) - _aligned_difference_dense(a, b)) <= bound
+
+
+@SUPPORT_PROPERTY
+@given(s=patterned_states(), params=SYNDROME_PARAMS)
+@example(s=ALL_ZERO, params=CodeParams(2, 1, 0))
+@example(s=EDGE_ZEROS, params=CodeParams(2, 1, 0))
+def test_expected_syndrome_matches_the_dense_window(s, params):
+    m, r = params.m, params.r
+    if s.l_max - s.l_min + 1 <= m:
+        with pytest.raises(ValueError, match="fewer than m"):
+            measure_syndrome_expected(s, params)
+        return
+    bound = 1e-15 * _scale(s)
+    ev_theta = _vm_expectation_dense(s, m)
+    assert abs(_vm_expectation(s, m) - ev_theta) <= bound
+    ev_l = _momentum_expectation_dense(s, r)
+    if abs(ev_theta) < EXPECTATION_TOL or (r > 1 and abs(ev_l) < EXPECTATION_TOL):
+        with pytest.raises(NumericalError, match="numerically zero"):
+            measure_syndrome_expected(s, params)
+        return
+    syndrome = measure_syndrome_expected(s, params)
+    q = centered_residue(round(r * float(np.angle(ev_l)) / (2.0 * math.pi)), r) if r > 1 else 0
+    assert syndrome.q == q
+    theta = -float(np.angle(ev_theta)) / m
+    # |d arg ev| <= |d ev| / |ev|
+    assert _sector_distance(syndrome.theta_residue, theta, m) <= bound / (m * abs(ev_theta)) + 1e-15
+
+
+@SUPPORT_PROPERTY
+@given(s=patterned_states(), params=SYNDROME_PARAMS, seed=st.integers(0, 2**32 - 1))
+@example(s=EDGE_ZEROS, params=CodeParams(2, 1, 0), seed=0)
+def test_sampled_syndrome_draws_and_collapses_like_the_dense_window(s, params, seed):
+    if s.norm() == 0.0:
+        return  # a zero state cannot be normalized, so it has no Born draw
+    s = from_amplitudes(s.l_min, s.amplitudes)
+    m, r = params.m, params.r
+    residue, mass, collapsed = _collapse_dense(s, r, np.random.default_rng(seed))
+    narrow = s.l_max - s.l_min + 1 <= m
+    if narrow or mass < RESIDUE_MASS_TOL:
+        with pytest.raises((ValueError, NumericalError)):
+            measure_syndrome_sampled(s, params, np.random.default_rng(seed))
+        return
+    ev_theta = complex(np.vdot(collapsed[m:], collapsed[:-m]))
+    if abs(ev_theta) < EXPECTATION_TOL:
+        with pytest.raises(NumericalError, match="numerically zero"):
+            measure_syndrome_sampled(s, params, np.random.default_rng(seed))
+        return
+    syndrome, post = measure_syndrome_sampled(s, params, np.random.default_rng(seed))
+    assert syndrome.q == centered_residue(residue, r)
+    assert (post.l_min, post.l_max) == (s.l_min, s.l_max)
+    assert np.max(np.abs(post.amplitudes - collapsed)) <= 1e-15 * _scale(s)
+
+
+@SUPPORT_PROPERTY
+@given(ls=st.lists(st.integers(-50, 50), min_size=2, max_size=12, unique=True),
+       pad=st.integers(0, 5))
+def test_constructor_rejects_a_malformed_support(ls, pad):
+    ls = sorted(ls)
+    lo, hi = ls[0] - pad, ls[-1] + pad
+    vals = np.ones(len(ls), dtype=np.complex128)
+    assert RotorState(lo, hi, ls, vals, normalized=False).support.tolist() == ls
+    bad = "sorted, distinct and inside the window"
+    with pytest.raises(ValueError, match=bad):  # unsorted
+        RotorState(lo, hi, [ls[1], ls[0], *ls[2:]], vals, normalized=False)
+    with pytest.raises(ValueError, match=bad):  # a duplicate momentum
+        RotorState(lo, hi, [ls[0], *ls[:-1]], vals, normalized=False)
+    with pytest.raises(ValueError, match=bad):  # the lowest momentum below the window
+        RotorState(ls[0] + 1, hi, ls, vals, normalized=False)
+    with pytest.raises(ValueError, match=bad):  # the highest momentum above it
+        RotorState(lo, ls[-1] - 1, ls, vals, normalized=False)
+    with pytest.raises(ValueError, match="does not match"):
+        RotorState(lo, hi, ls, vals[:-1], normalized=False)

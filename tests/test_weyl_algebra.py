@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from rotorcode import (
     CodeParams,
-    RotorState,
     ShiftDiagonalOperator,
     angle_shift,
     apply,
     commutator_norm,
     compose,
+    from_amplitudes,
     identity,
     invariant_residuals,
     make_state,
@@ -363,7 +363,7 @@ def patterned_states(draw):
         min_size=width,
         max_size=width,
     ))
-    return RotorState(l_min, l_min + width - 1, np.array(values, dtype=np.complex128), False)
+    return from_amplitudes(l_min, np.array(values, dtype=np.complex128), normalize=False)
 
 
 # a sum of three operators: one output momentum collects several terms, so
@@ -376,10 +376,10 @@ TERM_SUMS = st.builds(
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(op=st.one_of(UNITARIES, TERM_SUMS), s=patterned_states())
 @example(op=compose(qubit_X(1, 1), qudit_pair(2, 3, 1)[1]),
-         s=RotorState(-3, 3, [0, 0, 0, 0.6 + 0.8j, 0, 0, 0], True))  # one nonzero momentum
+         s=from_amplitudes(-3, [0, 0, 0, 0.6 + 0.8j, 0, 0, 0], normalize=False))  # one nonzero momentum
 @example(op=compose(phase_gate(1, 2, 3), angle_shift(0.3)),
-         s=RotorState(7, 12, [0, 0.5, 0, 0, -0.5j, 0], False))  # zeros at both edges
-@example(op=qudit_pair(1, 5, 1)[1], s=RotorState(-2, 2, np.zeros(5), False))  # all zero
+         s=from_amplitudes(7, [0, 0.5, 0, 0, -0.5j, 0], normalize=False))  # zeros at both edges
+@example(op=qudit_pair(1, 5, 1)[1], s=from_amplitudes(-2, np.zeros(5), normalize=False))  # all zero
 def test_apply_on_the_support_is_bit_identical_to_the_dense_term_sum(op, s):
     lo, dense = _dense_apply(op, s)
     out = apply(op, s)
