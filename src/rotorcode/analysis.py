@@ -324,49 +324,31 @@ class SweepSpec:
         object.__setattr__(self, "parameters", tuple(float(p) for p in self.parameters))
 
 
-SWEEP_COLUMNS = (
-    "family",
-    "N",
-    "d",
-    "delta_L",
-    "parameter",
-    "method",
-    "p_e",
-    "log10_pe",
-    "error_estimate",
-    "seed",
-)
-
-
-def sweep(spec: SweepSpec) -> list[dict[str, object]]:
-    """Run the sweep; one row per parameter, schema SWEEP_COLUMNS."""
+def sweep(spec: SweepSpec) -> dict[str, object]:
+    """Run the sweep: named columns, one row per parameter; the code shape and
+    the seed (None unless monte_carlo) are scalars that hold for every row."""
     rng = np.random.default_rng(spec.seed) if spec.method == "monte_carlo" else None
-    rows: list[dict[str, object]] = []
-    for p in spec.parameters:
-        res = compute_pe(
-            spec.family, p, spec.code.m, spec.method, trials=spec.trials, rng=rng
-        )
-        rows.append(
-            {
-                "family": spec.family,
-                "N": spec.code.N,
-                "d": spec.code.d,
-                "delta_L": spec.code.delta_L,
-                "parameter": p,
-                "method": res.method,
-                "p_e": res.value,
-                "log10_pe": res.log10_value,
-                "error_estimate": res.error_estimate,
-                "seed": spec.seed if spec.method == "monte_carlo" else None,
-            }
-        )
-    return rows
+    results = [
+        compute_pe(spec.family, p, spec.code.m, spec.method, trials=spec.trials, rng=rng)
+        for p in spec.parameters
+    ]
+    return {
+        "family": spec.family,
+        "N": spec.code.N,
+        "d": spec.code.d,
+        "delta_L": spec.code.delta_L,
+        "parameter": list(spec.parameters),
+        "method": [res.method for res in results],
+        "p_e": [res.value for res in results],
+        "log10_pe": [res.log10_value for res in results],
+        "error_estimate": [res.error_estimate for res in results],
+        "seed": spec.seed if spec.method == "monte_carlo" else None,
+    }
 
 
 __all__ = [
     "PeResult",
     "SweepSpec",
-    "SWEEP_COLUMNS",
     "METHODS",
     "pe_quadrature",
     "pe_closed_form",

@@ -282,24 +282,15 @@ def _emit(s: Settings, command: str, table: dict[str, object], comments: Sequenc
 
 
 def cmd_tables(s: Settings) -> int:
-    binary = s.get("binary", _cast_bool, False)
-    if binary:
+    if s.get("binary", _cast_bool, False):
         bits = s.get("bits", int, None)
         if bits is None:
             bits = s.get("N", int, 3)
-        lo, hi = _get_range(s, "-8:8")
-        names = ["l"] + [f"b{j}" for j in range(1, bits + 1)]
-        rows = [[row["l"], *row["bits"]] for row in binary_table(lo, hi, bits)]
-        _emit(s, "tables", dict(zip(names, zip(*rows))))
-        return 0
-    params = _code_params(s)
-    lo, hi = _get_range(s, f"-{params.m}:{params.m}")
-    names = ["l", "q"] + [f"p{j}" for j in range(1, params.N + 1)] + ["k", "rotor_index"]
-    rows = [
-        [row["l"], row["q"], *row["digits"], row["k"], row["rotor_index"]]
-        for row in encoding_table(params, lo, hi)
-    ]
-    _emit(s, "tables", dict(zip(names, zip(*rows))))
+        table = binary_table(*_get_range(s, "-8:8"), bits)
+    else:
+        params = _code_params(s)
+        table = encoding_table(params, *_get_range(s, f"-{params.m}:{params.m}"))
+    _emit(s, "tables", table)
     return 0
 
 
@@ -323,7 +314,7 @@ def cmd_codeword(s: Settings) -> int:
 
 
 def _emit_pe(s: Settings, command: str, family: str, grid: list[float]) -> int:
-    """One analysis.sweep row per grid value, in CLI spellings."""
+    """The analysis.sweep columns, one row per grid value, in CLI spellings."""
     params = _code_params(s)
     method_cli = s.get("method", str, "quadrature")
     if method_cli not in METHOD_BY_CLI:
@@ -338,8 +329,7 @@ def _emit_pe(s: Settings, command: str, family: str, grid: list[float]) -> int:
         family, tuple(grid), code=params, method=METHOD_BY_CLI[method_cli],
         trials=trials, seed=seed,
     )
-    rows = analysis.sweep(spec)
-    table = {c: [row[c] for row in rows] for c in analysis.SWEEP_COLUMNS}
+    table = analysis.sweep(spec)
     table["family"] = CLI_BY_FAMILY[family]
     table["method"] = [CLI_BY_METHOD[method] for method in table["method"]]
     _emit(s, command, table)

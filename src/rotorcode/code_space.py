@@ -38,6 +38,10 @@ TAIL_TOL = 1e-12
 # anything is allocated.
 MAX_WINDOW_MOMENTA = 1 << 25
 
+# Largest label table, in cells (rows x columns): the table is built whole in
+# memory before it is written.
+MAX_TABLE_CELLS = 1 << 25
+
 FAMILIES = (
     "truncated_gaussian",
     "cosine_power",
@@ -159,32 +163,42 @@ def binary_labels(l: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def encoding_table(
-    params: CodeParams, l_lo: int, l_hi: int
-) -> list[dict[str, object]]:
-    """Rows (l, q, digits, k, rotor_index) for each momentum in [l_lo, l_hi]."""
+def _table_momenta(l_lo: int, l_hi: int, columns: int, reach: int) -> np.ndarray:
+    """The column l = l_lo..l_hi of a table with this many columns.
+
+    int64 while |l| and reach (the largest modulus a column divides by) stay
+    below 2^62, so no column expression can overflow; Python ints past that.
+    """
     if l_hi < l_lo:
         raise ValueError("need l_lo <= l_hi")
-    rows = []
-    for l in range(l_lo, l_hi + 1):
-        lab = logical_labels(l, params)
-        rows.append(
-            {
-                "l": l,
-                "q": lab.q,
-                "digits": lab.digits,
-                "k": digits_to_k(lab.digits, params.d),
-                "rotor_index": lab.rotor_index,
-            }
+    if (l_hi - l_lo + 1) * columns > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"table of momenta [{l_lo}, {l_hi}] with {columns} columns holds more "
+            f"than the cap of {MAX_TABLE_CELLS} cells"
         )
-    return rows
+    wide = max(abs(l_lo), abs(l_hi), reach) >= 1 << 62
+    return np.arange(l_lo, l_hi + 1, dtype=object if wide else np.int64)
 
 
-def binary_table(l_lo: int, l_hi: int, bits: int) -> list[dict[str, object]]:
-    """Rows (l, bits) of the sign-magnitude labeling for l in [l_lo, l_hi]."""
-    if l_hi < l_lo:
-        raise ValueError("need l_lo <= l_hi")
-    return [{"l": l, "bits": binary_labels(l, bits)} for l in range(l_lo, l_hi + 1)]
+def encoding_table(params: CodeParams, l_lo: int, l_hi: int) -> dict[str, np.ndarray]:
+    """Columns l, q, p1..pN, k, rotor_index of logical_labels over [l_lo, l_hi]."""
+    d, r = params.d, params.r
+    l = _table_momenta(l_lo, l_hi, params.N + 4, params.m)
+    q = l % r
+    u = (l - q) // r
+    digits = {f"p{j}": (u // d ** (j - 1)) % d for j in range(1, params.N + 1)}
+    return {"l": l, "q": q, **digits, "k": u % params.n, "rotor_index": l // params.m}
+
+
+def binary_table(l_lo: int, l_hi: int, bits: int) -> dict[str, np.ndarray]:
+    """Columns l, b1..b<bits> of binary_labels over [l_lo, l_hi]."""
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    l = _table_momenta(l_lo, l_hi, bits + 1, 0)
+    a = np.abs(l)
+    top = int(a.max()).bit_length()  # a >> top is 0: no shift past the dtype's width
+    magnitude_bits = {f"b{j}": (a >> min(j - 2, top)) & 1 for j in range(2, bits + 1)}
+    return {"l": l, "b1": (l < 0).astype(np.int64), **magnitude_bits}
 
 
 def _cosine_window_need(gamma: float) -> int:
@@ -194,6 +208,20 @@ def _cosine_window_need(gamma: float) -> int:
     # out-of-window mass scales like W^{-(2 gamma + 1)}.
     decay = 2.0 * gamma + 1.0
     return int(math.ceil(4.0 * 1e12 ** (1.0 / decay) + gamma / 2.0)) + 6
+
+
+def _tg_tail_need(xi: float) -> int:
+    """Half-window past which the truncated Gaussian's l^-2 tail holds < TAIL_TOL.
+
+    The periodized profile's slope jumps at u = +-pi, so c_l -> A / l^2 with
+    A = a xi^2 e^{-pi^2 xi^2 / 2} (a = _tg_height), and the mass past W is
+    2 A^2 / 3 W^3.
+    """
+    edge = math.exp(-0.5 * (math.pi * xi) * (math.pi * xi))  # 0 past xi ~ 12: no tail
+    if edge == 0.0:
+        return 0
+    tail = _tg_height(xi) * xi * xi * edge
+    return math.ceil((2.0 * tail * tail / (3.0 * TAIL_TOL)) ** (1.0 / 3.0)) + 4
 
 
 def default_window_half(
@@ -206,6 +234,8 @@ def default_window_half(
         p = approx.parameter
         if approx.family in ("truncated_gaussian", "gaussian_envelope"):
             need = max(need, math.ceil(min(6.0 * p + 10.0, MAX_WINDOW_MOMENTA)))  # 6p may be inf
+            if approx.family == "truncated_gaussian":
+                need = max(need, _tg_tail_need(p))
         elif approx.family == "cosine_power":
             need = max(need, _cosine_window_need(p))
         elif approx.family == "grating":
@@ -370,14 +400,27 @@ def envelope_coefficients(approx: Approximant, ls: np.ndarray) -> np.ndarray:
     return vals.astype(np.float64)
 
 
-def _check_tail(cs: np.ndarray, l_lo: int, l_hi: int) -> None:
-    captured = float(np.sum(np.abs(cs) ** 2))
-    tail = 1.0 - captured
+def _enveloped_window(
+    approx: Approximant, params: CodeParams, l_lo: int | None, l_hi: int | None
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The window (default_window_half's when not given), its momenta and the
+    envelope c_l on them; refuses a window that misses more than TAIL_TOL of
+    the envelope's mass."""
+    given = l_lo is not None and l_hi is not None
+    if not given:
+        w = default_window_half(params, approx)
+        l_lo, l_hi = -w, w
+    _check_window_size(l_lo, l_hi)
+    ls = np.arange(l_lo, l_hi + 1)
+    cs = envelope_coefficients(approx, ls)
+    tail = 1.0 - float(np.sum(np.abs(cs) ** 2))
     if tail > TAIL_TOL:
+        fix = "widen the window" if given else "the default window is too narrow"
         raise NumericalError(
             f"momentum window [{l_lo}, {l_hi}] misses envelope mass "
-            f"{tail:.3e} > {TAIL_TOL:.0e}; widen the window"
+            f"{tail:.3e} > {TAIL_TOL:.0e}; {fix}"
         )
+    return l_lo, l_hi, ls, cs
 
 
 def approx_basis_state(
@@ -388,13 +431,7 @@ def approx_basis_state(
     params: CodeParams | None = None,
 ) -> RotorState:
     """Normalizable angle state centered at theta0: sum_l c_l e^{-i l theta0}|l>."""
-    if l_lo is None or l_hi is None:
-        w = default_window_half(params if params is not None else CodeParams(), approx)
-        l_lo, l_hi = -w, w
-    _check_window_size(l_lo, l_hi)
-    ls = np.arange(l_lo, l_hi + 1)
-    cs = envelope_coefficients(approx, ls)
-    _check_tail(cs, l_lo, l_hi)
+    l_lo, l_hi, ls, cs = _enveloped_window(approx, params or CodeParams(), l_lo, l_hi)
     return from_amplitudes(l_lo, cs * np.exp(-1j * float(theta0) * ls))
 
 
@@ -413,22 +450,20 @@ def approx_codeword(
     """
     if not 0 <= k < params.n:
         raise ValueError(f"logical index {k} outside [0, {params.n})")
-    if l_lo is None or l_hi is None:
-        w = default_window_half(params, approx)
-        l_lo, l_hi = -w, w
-    _check_window_size(l_lo, l_hi)
-    ls = np.arange(l_lo, l_hi + 1)
-    cs = envelope_coefficients(approx, ls)
-    _check_tail(cs, l_lo, l_hi)
+    l_lo, l_hi, _, cs = _enveloped_window(approx, params, l_lo, l_hi)
     teeth = _teeth(k * params.r, params.m, l_lo, l_hi)
     amps = cs[teeth - l_lo]
     weighted = amps != 0
     teeth, amps = teeth[weighted], amps[weighted]
     if teeth.shape[0] < 2:
-        # no wider window helps once the envelope is exactly 0 on both sides of one about 0
+        # no wider window helps once the envelope is 0 on both sides of one about 0
         beyond = envelope_coefficients(approx, np.array([l_lo - 1, l_hi + 1]))
         vanishes = l_lo <= 0 <= l_hi and not beyond.any()
-        fix = "the envelope is 0 beyond it" if vanishes else "widen it"
+        bandlimited = approx.family == "grating" or (
+            approx.family == "cosine_power" and approx.parameter % 2 == 0
+        )
+        zero = "is 0" if bandlimited else "underflows"
+        fix = f"the envelope {zero} beyond it" if vanishes else "widen it"
         raise ValueError(f"window holds fewer than two comb teeth with weight; {fix}")
     return RotorState(l_lo, l_hi, teeth, amps / math.sqrt(float(np.sum(amps**2))), True)
 
@@ -456,6 +491,7 @@ __all__ = [
     "FAMILIES",
     "TAIL_TOL",
     "MAX_WINDOW_MOMENTA",
+    "MAX_TABLE_CELLS",
     "logical_labels",
     "digits_to_k",
     "k_to_digits",

@@ -31,7 +31,7 @@ from rotorcode import (
     pe_quadrature,
     sweep,
 )
-from rotorcode.analysis import LOG10_FLOOR, METHODS, SWEEP_COLUMNS
+from rotorcode.analysis import LOG10_FLOOR, METHODS
 
 # Frozen reference values, computed from closed forms / exact antiderivatives
 # outside this package (error-function ratios, multiple-angle expansions of
@@ -318,6 +318,38 @@ def test_import_leaves_scipy_unloaded():
         "pe cos-power monte-carlo", "pe gauss-env monte-carlo", "pe grating monte-carlo",
     ]
     assert [step for step in steps if step[1:] != ["0", "False"]] == []
+
+
+TOP_LEVEL_NAMES = {
+    "__version__", "HAS_NUMBA", "USING_NUMBA", "NumericalError",
+    # states
+    "RotorState", "AngleGrid", "make_state", "from_amplitudes", "pad_state", "inner",
+    "fidelity", "theta_wavefunction", "angle_distribution", "sample_momentum", "sample_angle",
+    # operators
+    "ShiftDiagonalOperator", "apply", "identity", "angle_shift", "momentum_shift", "qubit_Z",
+    "qubit_X", "qudit_pair", "phase_gate", "stabilizer_ops", "residual_rotor_phase", "scaled",
+    "compose", "commutator_norm", "operator_difference_norm", "random_probes",
+    "invariant_residuals",
+    # code space
+    "CodeParams", "Approximant", "LogicalLabels", "FAMILIES", "TAIL_TOL", "MAX_WINDOW_MOMENTA",
+    "MAX_TABLE_CELLS", "logical_labels", "digits_to_k", "k_to_digits", "reconstruct_momentum",
+    "binary_labels", "encoding_table", "binary_table", "envelope_coefficients",
+    "default_window_half", "ideal_comb", "ideal_codeword", "approx_basis_state",
+    "approx_codeword", "logical_encode",
+    # noise and correction
+    "ErrorEvent", "Syndrome", "RoundTripSummary", "apply_error", "centered_angle",
+    "centered_residue", "measure_syndrome_expected", "measure_syndrome_sampled", "correct",
+    "run_round_trip",
+    # analysis
+    "PeResult", "SweepSpec", "METHODS", "pe_quadrature", "pe_closed_form", "pe_asymptotic",
+    "pe_pure_guess", "pe_monte_carlo", "compute_pe", "angle_deviation_sampler", "sweep",
+}
+
+
+def test_top_level_names_are_the_modules_public_names():
+    assert len(rotorcode.__all__) == len(TOP_LEVEL_NAMES) == 74
+    assert set(rotorcode.__all__) == TOP_LEVEL_NAMES
+    assert all(hasattr(rotorcode, name) for name in TOP_LEVEL_NAMES)
 
 
 ANGLE_DENSITY = {  # |Psi(u)|^2 up to its normalization
@@ -715,12 +747,20 @@ def test_sweep_rows_schema_and_reproducibility():
         code=CodeParams(d=2, N=1, delta_L=1),
         method="quadrature",
     )
-    rows = sweep(spec)
-    assert len(rows) == 3
-    for row in rows:
-        assert tuple(row.keys()) == SWEEP_COLUMNS
-        assert row["N"] == 1 and row["delta_L"] == 1 and row["seed"] is None
-    assert rows[1]["p_e"] == pytest.approx(TG_REFERENCE[(2.0, 6)], abs=1e-11)
+    table = sweep(spec)
+    # the CSV's columns in its order; the code shape and seed hold for every row
+    assert tuple(table) == (
+        "family", "N", "d", "delta_L", "parameter", "method", "p_e", "log10_pe",
+        "error_estimate", "seed",
+    )
+    assert (table["family"], table["N"], table["d"], table["delta_L"], table["seed"]) == (
+        "truncated_gaussian", 1, 2, 1, None,
+    )
+    for name in ("parameter", "method", "p_e", "log10_pe", "error_estimate"):
+        assert isinstance(table[name], list) and len(table[name]) == 3
+    assert table["parameter"] == [1.0, 2.0, 4.0]
+    assert table["method"] == ["quadrature"] * 3
+    assert table["p_e"][1] == pytest.approx(TG_REFERENCE[(2.0, 6)], abs=1e-11)
     # monte carlo sweeps demand a seed, and the seed fixes the output
     with pytest.raises(ValueError, match="seed"):
         SweepSpec(family="grating", parameters=(6.0,), method="monte_carlo")
@@ -732,8 +772,8 @@ def test_sweep_rows_schema_and_reproducibility():
         trials=5_000,
         seed=7,
     )
-    assert sweep(mc)[0]["p_e"] == sweep(mc)[0]["p_e"]
-    assert sweep(mc)[0]["seed"] == 7
+    assert sweep(mc)["p_e"] == sweep(mc)["p_e"]
+    assert sweep(mc)["seed"] == 7
 
 
 def test_sweep_validation():

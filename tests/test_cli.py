@@ -3,8 +3,13 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -13,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorcode import pe_closed_form
+from rotorcode import code_space, pe_closed_form
 from rotorcode.cli import Settings, _emit, main
 
 
@@ -469,3 +474,160 @@ def test_emitted_csv_is_what_csv_writer_writes(table):
     config, body = out.getvalue().split("\n", 1)
     assert config == "# config: command=test"
     assert body == _reference_csv(table)
+
+
+# SHA-256 of stdout, recorded from the row-dict tables and sweep that the
+# column-shaped ones replaced (numpy 2.4, scipy 1.17): integer tables, p_e by
+# every route, and trunc-gauss codewords and round trips at xi >= 2.
+FROZEN_OUTPUTS = (
+    ("tables",
+     "da38966c78bb2ebe24edcda734b450120c7ff1020e9c43c64ebb8fb475a84126"),
+    ("tables --N 3 --range=-40:-3",
+     "0d1fd003b4f5112198e4ce5cf959e5da92389a871710af5275ea8d7a2b87fc3e"),
+    ("tables --d 3 --N 2",
+     "027932874a4c8d30b3ea800f3761bca6214de697285b33c68080ad449674a3d6"),
+    ("tables --N 2 --delta-L 2 --range=-50:10",
+     "f37886ee7136b932a10dcfb2c4f3a2a4aa16070ffa9b8b4650c2e59b32f7e40f"),
+    ("tables --binary",
+     "e7b872b42aa319f44a4d2ba5207f22f650d413aa09dc7f8f34c02bfd9981f044"),
+    ("tables --binary --bits 70 --range=-5:5",
+     "a8288182004a27612da213dccd13a9e528bd88b7b31729eee43e9b67ae6705b2"),
+    ("tables --N 3 --format pretty",
+     "a0e2625f3eeaec6aeb6c628f7720c72bdc88ba620eda1192825ad0325ae70e5c"),
+    ("tables --binary --format pretty --range=-3:3",
+     "9983f1163f20a313db307958c8f4ce79d9f0c425079fef563553dfd827d3bfa1"),
+    ("tables --N 70 --range 0:5",
+     "454560c9e539fd428db3f777f4a0e427612af0a921fb5693081bb3ceaed0f360"),
+    ("tables --d 3 --N 3 --delta-L 2 --range 9223372036854775777:9223372036854775807",
+     "e02ef5f0c4818cf20593e917bb8890ede0cabff429e7de2115db6fae2b572b67"),
+    ("tables --binary --bits 70 --range 9223372036854775800:9223372036854775807",
+     "3fee48ca98e99bea1e7bb4e3769e46ac6d0f5c35fc72f8a26a3ac669c66c5c69"),
+    ("tables --range=-9223372036854775808:-9223372036854775800",
+     "53a6910c033257e93eb4f18364d960907ef883d00fc53d6f801b02a49b8da5b5"),
+    ("pe --N 3 --delta-L 1 --family trunc-gauss --xi 3 --method quadrature",
+     "6d3433c11d58b1f8998a27a04c9d2a39b4d1596f11342b101716b48343ce9ba6"),
+    ("sweep --N 2 --family trunc-gauss --grid 1:30:5 --method quadrature",
+     "e99e6864ec8f7ecbb0398318d85c4bbc7f85312fff74b76f77c027993318d27f"),
+    ("pe --N 3 --delta-L 1 --family trunc-gauss --xi 3 --method closed-form",
+     "9635affce8c6d8c3a7842136d89a26683a622fa83feea8e590becb6248c44a4d"),
+    ("sweep --N 2 --family trunc-gauss --grid 1:30:5 --method closed-form",
+     "3a37b80fd773b92252437fe70be2440c08b7535f6fd31c2673c0faeefb3c319a"),
+    ("pe --N 3 --delta-L 1 --family trunc-gauss --xi 3 --method asymptotic",
+     "bce69bb7d5f64f8c6d82bd205bcdd91e5a9977e9e4dc0439244f7029b3103789"),
+    ("sweep --N 2 --family trunc-gauss --grid 1:30:5 --method asymptotic",
+     "fb8fbf3eaff2a0f2b471557c8e6a2ff353727f8ee3f733195e8f46a46e65cd63"),
+    ("pe --N 3 --delta-L 1 --family trunc-gauss --xi 3 --method pure-guess",
+     "ca8e46b43e34a8683ea503f8bdcfeb90b2c6da533a5586a08a43efde8d14498d"),
+    ("sweep --N 2 --family trunc-gauss --grid 1:30:5 --method pure-guess",
+     "4d322b2f7ef45e46ed18fd286da0347a47122cb99abeecdce75e409e20506cfb"),
+    ("pe --N 3 --delta-L 1 --family trunc-gauss --xi 3 --method monte-carlo --trials 3000 --seed 5",
+     "b9d26f045491f04910206787feeca944c7c81cf6d2fe175c94184a2143ec94e3"),
+    ("sweep --N 2 --family trunc-gauss --grid 1:30:5 --method monte-carlo --trials 3000 --seed 5",
+     "ac21448a0eed79415b29394ec24412e61f90ada2b7faf27c9b3f887c47f0567b"),
+    ("pe --N 3 --delta-L 1 --family cos-power --gamma 6 --method quadrature",
+     "9de7566744ed974219dd8cf292bf5de9405454a3fa2b83d0f7980fc64008c875"),
+    ("sweep --N 2 --family cos-power --grid 1:40:5 --method quadrature",
+     "2575267cc10c619477dba098502e588da4e0405334ac606a3cb734491e244465"),
+    ("pe --N 3 --delta-L 1 --family cos-power --gamma 6 --method pure-guess",
+     "afa66e1d0891f3ff9cdf4b67add42a5d3afedb32aa9dc45274a49ad3ffaf9dc1"),
+    ("sweep --N 2 --family cos-power --grid 1:40:5 --method pure-guess",
+     "db71789f970f0ca0f8a06386bb5f8cbeb96a5c0bf105961b782a41080223439a"),
+    ("pe --N 3 --delta-L 1 --family cos-power --gamma 6 --method monte-carlo --trials 3000 --seed 5",
+     "9c0af08934138dcace25780406d28188728a94f1b2edf3d4ec1260594769f55f"),
+    ("sweep --N 2 --family cos-power --grid 1:40:5 --method monte-carlo --trials 3000 --seed 5",
+     "e56fc340ba93a85bcdf5dac5add8e1f59e83b12be294bc52e8cb2d0c17062981"),
+    ("pe --N 3 --delta-L 1 --family gauss-env --sigma 3 --method quadrature",
+     "555a02ea8af2654e2e16c40d5734a2b753497ea741460dcc55f4b081cead3e4f"),
+    ("sweep --N 2 --family gauss-env --grid 0.5:6:4 --method quadrature",
+     "496ba317fac556bf72605f685f2cf71b2bf6e35249d33812c1ecbd92a147b165"),
+    ("pe --N 3 --delta-L 1 --family gauss-env --sigma 3 --method pure-guess",
+     "2ea42f674b13b9a8560d10a1b4c967c071b4efb5a038ca903966c0a4fa3b28d1"),
+    ("sweep --N 2 --family gauss-env --grid 0.5:6:4 --method pure-guess",
+     "e4f435de5d81b44196288f4ed5c9d96f195ffe3e78e16e7d878bf0e29f39ba50"),
+    ("pe --N 3 --delta-L 1 --family gauss-env --sigma 3 --method monte-carlo --trials 3000 --seed 5",
+     "a4bccbd045d5d09ca18140ed19ee66781ba4fdb75f678dcb0c1835f556d011ab"),
+    ("sweep --N 2 --family gauss-env --grid 0.5:6:4 --method monte-carlo --trials 3000 --seed 5",
+     "1568740e2f5bf2ea38264f46429987a492fd376282f09b67d33d8b7d815501d0"),
+    ("pe --N 3 --delta-L 1 --family grating --slits 4 --method quadrature",
+     "a02ff3f0472b5b4c4a14299c8de1f5fd438b5480493496e47f1533e4e70056cc"),
+    ("sweep --N 2 --family grating --grid 1,2,3,9 --method quadrature",
+     "b30126f7e10ac8a80905f339a4a97916764842a183edcc572d4921b71f587a4a"),
+    ("pe --N 3 --delta-L 1 --family grating --slits 4 --method pure-guess",
+     "4d3b49eff2056b14cfef3f70698fd4b093d5f6851bac19cfa7f31b81beb0f1fb"),
+    ("sweep --N 2 --family grating --grid 1,2,3,9 --method pure-guess",
+     "dbfaedf767e141c17263319d078dfea93d1b09a7a61bd9f73f2beff3894abd08"),
+    ("pe --N 3 --delta-L 1 --family grating --slits 4 --method monte-carlo --trials 3000 --seed 5",
+     "88a1ba94f374bbbb9799ad3643844eaf7d116d31bd33effa298899f9a94717df"),
+    ("sweep --N 2 --family grating --grid 1,2,3,9 --method monte-carlo --trials 3000 --seed 5",
+     "8de85e79e701d2770f2112030680a5f6b59024ba523c110223999fb41945ceda"),
+    ("sweep --d 3 --N 4 --family trunc-gauss --grid 2,20,200 --format pretty",
+     "a29a99e9c00276ccddfe6f1c94b699fd10723f898a5aa410fc6c8ff320cace55"),
+    ("codeword --family trunc-gauss --xi 2",
+     "dd77c09a685d2729a6820ba2c6a7e95f76aafb35e8f3778bdeaa5ce5eea04cc2"),
+    ("codeword --family trunc-gauss --xi 24 --N 3 --delta-L 1 --k 5",
+     "0e682e7972c6415bc205bde07de65736dc0e5591a696cbe0ef5664ecfffd0581"),
+    ("codeword --family trunc-gauss --xi 2.5 --format pretty",
+     "3378408c1797f099ce42141c5bed87a738abc678964bb5c39e755a1b677a635e"),
+    ("roundtrip --family trunc-gauss --xi 2 --trials 200 --seed 3",
+     "215b50fb15a4d354773fd074bd13e94accf73a61dcc47db6f75dbba8dfcfc97e"),
+    ("roundtrip --family trunc-gauss --xi 24 --N 3 --delta-L 1 --trials 300 --seed 4 --epsilon 0.05",
+     "5e83aeca70b8ba0be5aa3fb533a20b5f54a0886819c59abf352ab051fccb91b1"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", FROZEN_OUTPUTS)
+def test_output_is_byte_identical_to_the_recorded_grid(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("xi", ["0.01", "0.1", "0.5", "1", "1.45"])
+def test_trunc_gauss_default_window_holds_the_envelope_at_small_xi(capsys, xi, N):
+    # the l^-2 tail from the slope's jump at +-pi outreaches 6 xi + 10 here
+    family = ("--family", "trunc-gauss", "--xi", xi, "--N", str(N))
+    code, _, err = run_cli(capsys, "codeword", *family)
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "roundtrip", *family, "--trials", "20", "--seed", "1")
+    assert code == 0, err
+
+
+def test_default_window_that_misses_mass_does_not_say_widen(capsys, monkeypatch):
+    monkeypatch.setattr(code_space, "_tg_tail_need", lambda xi: 0)  # the Gaussian reach alone
+    code, _, err = run_cli(capsys, "codeword", "--family", "trunc-gauss", "--xi", "1")
+    assert code == 2
+    assert "misses envelope mass" in err and "the default window is too narrow" in err
+    assert "widen" not in err
+
+
+def _address_space_1gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "--N", "20"),  # 2^21 + 1 rows of 24 columns
+        ("tables", "--binary", "--range=-100000000:100000000"),
+    ],
+)
+def test_tables_past_the_cell_cap_exit_one_at_once(argv):
+    # main's own time is printed to stderr; a table built before the check would
+    # take seconds or hit the 1 GB address-space limit with a MemoryError
+    child = (
+        "import sys, time; from rotorcode.cli import main; t = time.perf_counter(); "
+        "rc = main(sys.argv[1:]); print(f'elapsed={time.perf_counter() - t}', file=sys.stderr); "
+        "sys.exit(rc)"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env,
+        preexec_fn=_address_space_1gb, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "more than the cap of 33554432 cells" in proc.stderr
+    assert float(proc.stderr.split("elapsed=")[1]) < 1.0

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotorcode import (
+    MAX_TABLE_CELLS,
+    TAIL_TOL,
     Approximant,
     CodeParams,
+    LogicalLabels,
     NumericalError,
     approx_basis_state,
     approx_codeword,
@@ -114,36 +117,95 @@ def test_digit_index_round_trip():
 # --- frozen table cells -----------------------------------------------------
 
 def test_single_qubit_parity_table_cells():
-    rows = encoding_table(CodeParams(d=2, N=1, delta_L=0), -4, 4)
-    assert [r["digits"][0] for r in rows] == [0, 1, 0, 1, 0, 1, 0, 1, 0]
-    assert [r["rotor_index"] for r in rows] == [-2, -2, -1, -1, 0, 0, 1, 1, 2]
+    table = encoding_table(CodeParams(d=2, N=1, delta_L=0), -4, 4)
+    assert list(table) == ["l", "q", "p1", "k", "rotor_index"]
+    assert table["p1"].tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert table["rotor_index"].tolist() == [-2, -2, -1, -1, 0, 0, 1, 1, 2]
 
 
 def test_three_qubit_table_cells():
-    rows = encoding_table(CodeParams(d=2, N=3, delta_L=0), -4, 4)
-    assert [r["digits"][0] for r in rows] == [0, 1, 0, 1, 0, 1, 0, 1, 0]
-    assert [r["digits"][1] for r in rows] == [0, 0, 1, 1, 0, 0, 1, 1, 0]
-    assert [r["digits"][2] for r in rows] == [1, 1, 1, 1, 0, 0, 0, 0, 1]
-    assert [r["rotor_index"] for r in rows] == [-1, -1, -1, -1, 0, 0, 0, 0, 0]
+    table = encoding_table(CodeParams(d=2, N=3, delta_L=0), -4, 4)
+    assert table["p1"].tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert table["p2"].tolist() == [0, 0, 1, 1, 0, 0, 1, 1, 0]
+    assert table["p3"].tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 1]
+    assert table["rotor_index"].tolist() == [-1, -1, -1, -1, 0, 0, 0, 0, 0]
     # the digit pattern repeats every 2^3 momenta
     again = encoding_table(CodeParams(d=2, N=3, delta_L=0), -4 + 8, 4 + 8)
-    assert [r["digits"] for r in again] == [r["digits"] for r in rows]
+    for digit in ("p1", "p2", "p3"):
+        assert again[digit].tolist() == table[digit].tolist()
 
 
 def test_sign_magnitude_binary_table_cells():
-    rows = binary_table(-4, 4, 3)
-    assert [r["bits"][0] for r in rows] == [1, 1, 1, 1, 0, 0, 0, 0, 0]
-    assert [r["bits"][1] for r in rows] == [0, 1, 0, 1, 0, 1, 0, 1, 0]
-    assert [r["bits"][2] for r in rows] == [0, 1, 1, 0, 0, 0, 1, 1, 0]
+    table = binary_table(-4, 4, 3)
+    assert list(table) == ["l", "b1", "b2", "b3"]
+    assert table["b1"].tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 0]
+    assert table["b2"].tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert table["b3"].tolist() == [0, 1, 1, 0, 0, 0, 1, 1, 0]
 
 
 def test_two_qubit_protected_table_cells():
-    rows = encoding_table(CodeParams(d=2, N=2, delta_L=1), 0, 12)
-    assert [r["q"] for r in rows] == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
-    assert [r["digits"][0] for r in rows] == [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0]
-    assert [r["digits"][1] for r in rows] == [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0]
-    assert [r["rotor_index"] for r in rows] == [0] * 12 + [1]
-    assert [r["k"] for r in rows] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0]
+    table = encoding_table(CodeParams(d=2, N=2, delta_L=1), 0, 12)
+    assert table["q"].tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
+    assert table["p1"].tolist() == [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0]
+    assert table["p2"].tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0]
+    assert table["rotor_index"].tolist() == [0] * 12 + [1]
+    assert table["k"].tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0]
+
+
+def _table_rows(table):
+    return [dict(zip(table, row)) for row in zip(*(col.tolist() for col in table.values()))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1, 0), (2, 3, 1), (3, 2, 0), (3, 3, 2), (2, 2, 2), (5, 2, 1)]),
+    start=st.integers(-(10**6), 10**6),
+    rows=st.integers(1, 40),
+)
+@example(shape=(2, 70, 0), start=0, rows=6)  # m = 2^70: past int64
+@example(shape=(2, 70, 0), start=-5, rows=6)
+@example(shape=(3, 2, 2), start=2**63 - 10, rows=10)  # l up to 2^63 - 1
+@example(shape=(2, 3, 1), start=-(2**63) - 4, rows=8)  # l down past -2^63
+@example(shape=(2, 1, 0), start=2**62 - 3, rows=6)  # across the int64 switch
+def test_table_rows_are_the_scalar_labels(shape, start, rows):
+    params = CodeParams(*shape)
+    table = encoding_table(params, start, start + rows - 1)
+    assert list(table) == ["l", "q"] + [f"p{j}" for j in range(1, params.N + 1)] + ["k", "rotor_index"]
+    assert table["l"].tolist() == list(range(start, start + rows))
+    for row in _table_rows(table):
+        lab = logical_labels(row["l"], params)
+        digits = tuple(row[f"p{j}"] for j in range(1, params.N + 1))
+        assert (row["q"], digits, row["rotor_index"]) == (lab.q, lab.digits, lab.rotor_index)
+        assert row["k"] == digits_to_k(digits, params.d)
+        assert reconstruct_momentum(LogicalLabels(row["q"], digits, row["rotor_index"]), params) == row["l"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(start=st.integers(-(10**9), 10**9), rows=st.integers(1, 40), bits=st.integers(1, 70))
+@example(start=2**63 - 8, rows=8, bits=70)
+@example(start=-(2**63) - 3, rows=10, bits=66)
+@example(start=2**62 - 3, rows=6, bits=64)
+@example(start=-3, rows=7, bits=63)
+def test_binary_table_rows_are_the_scalar_labels(start, rows, bits):
+    table = binary_table(start, start + rows - 1, bits)
+    assert list(table) == ["l"] + [f"b{j}" for j in range(1, bits + 1)]
+    for row in _table_rows(table):
+        assert tuple(row[f"b{j}"] for j in range(1, bits + 1)) == binary_labels(row["l"], bits)
+
+
+def test_tables_past_the_cell_cap_are_refused_before_allocating():
+    # N = 20 by default spans [-m, m]: 2^21 + 1 rows of 24 columns
+    params = CodeParams(d=2, N=20)
+    with pytest.raises(ValueError, match="more than the cap of 33554432 cells"):
+        encoding_table(params, -params.m, params.m)
+    with pytest.raises(ValueError, match="more than the cap"):
+        encoding_table(CodeParams(d=2, N=10_000), -1, 2**10_000)
+    with pytest.raises(ValueError, match="more than the cap"):
+        binary_table(-(10**8), 10**8, 3)
+    with pytest.raises(ValueError, match="more than the cap"):
+        binary_table(0, MAX_TABLE_CELLS // 2, 1)  # one row past the cap
+    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
+        encoding_table(params, 1, 0)
 
 
 def test_binary_labels_validation():
@@ -337,6 +399,9 @@ def test_approx_codeword_guards():
     # the teeth at |l| = 6, just past the window, carry c_l = 1e-8: a wider one holds them
     with pytest.raises(ValueError, match="fewer than two comb teeth with weight; widen it"):
         approx_codeword(params, 0, Approximant("gaussian_envelope", 1.0), -5, 5)
+    # c_l ~ e^{-200 l^2} is not 0 at the teeth l = +-2, it only underflows there
+    with pytest.raises(ValueError, match="with weight; the envelope underflows beyond it"):
+        approx_codeword(CodeParams(d=2, N=1), 0, Approximant("gaussian_envelope", 0.05))
     with pytest.raises(ValueError, match="outside"):
         approx_codeword(params, 5, Approximant("grating", 12.0))
 
@@ -354,6 +419,22 @@ def test_default_window_half_covers_envelope_and_is_comb_aligned():
         assert w % params.m == 0
         assert w >= 4 * params.m or approx is not None
     assert default_window_half(params, Approximant("grating", 100.0)) >= 100
+
+
+@pytest.mark.parametrize("xi", [0.1, 0.5, 1.0, 1.45])
+def test_trunc_gauss_tail_window_matches_the_summed_tail(xi):
+    # the slope of a e^{-xi^2 u^2 / 2} jumps at u = +-pi, so c_l -> A / l^2 with
+    # A = a xi^2 e^{-pi^2 xi^2 / 2}, a^2 = 2 sqrt(pi) xi / erf(pi xi) (unit norm)
+    a = math.sqrt(2.0 * math.sqrt(math.pi) * xi / math.erf(math.pi * xi))
+    A = a * xi * xi * math.exp(-0.5 * (math.pi * xi) ** 2)
+    W = 1000
+    cs = envelope_coefficients(Approximant("truncated_gaussian", xi), np.arange(W + 1, 10**6))
+    summed = 2.0 * math.fsum(cs**2)  # the tail past 10^6 is ~1e-9 of it
+    assert summed == pytest.approx(2.0 * A * A / (3.0 * W**3), rel=0.01)
+    # the default window keeps all but TAIL_TOL, for one qubit and three
+    for params in (CodeParams(), CodeParams(d=2, N=3)):
+        w = default_window_half(params, Approximant("truncated_gaussian", xi))
+        assert 2.0 * A * A / (3.0 * w**3) <= TAIL_TOL
 
 
 def test_logical_encode_accepts_digits_or_index():
