@@ -20,6 +20,7 @@ failure (including failed invariant checks).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -175,10 +176,9 @@ def _parse_int_range(value: str | Sequence[str]) -> tuple[int, int]:
     return lo, hi
 
 
-def _get_range(s: Settings, default: str) -> tuple[int, int]:
-    lo, hi = _parse_int_range(s.get("range", str, default))
-    s.used["range"] = f"{lo}:{hi}"
-    return lo, hi
+def _get_range(s: Settings, default: tuple[int, int]) -> tuple[int, int]:
+    raw = s.get("range", str, None)
+    return default if raw is None else _parse_int_range(raw)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -286,10 +286,14 @@ def cmd_tables(s: Settings) -> int:
         bits = s.get("bits", int, None)
         if bits is None:
             bits = s.get("N", int, 3)
-        table = binary_table(*_get_range(s, "-8:8"), bits)
+        lo, hi = _get_range(s, (-8, 8))
+        table = binary_table(lo, hi, bits)
     else:
         params = _code_params(s)
-        table = encoding_table(params, *_get_range(s, f"-{params.m}:{params.m}"))
+        lo, hi = _get_range(s, (-params.m, params.m))
+        table = encoding_table(params, lo, hi)
+    # formed past the cell cap: the decimal of a default range at N ~ 15000 passes Python's limit
+    s.used["range"] = f"{lo}:{hi}"
     _emit(s, "tables", table)
     return 0
 
@@ -410,7 +414,13 @@ def cmd_check(s: Settings) -> int:
     return 0 if failures == 0 else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on the first call and shared by every later one.
+
+    Nothing changes it after the build: parse_args fills a fresh namespace, and
+    help is laid out when it is printed, so COLUMNS is read then.
+    """
     parser = _Parser(prog="rotorcode", description="Many qubits in one quantum rotor: tables, "
                      "codewords, error probabilities, correction round trips.")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

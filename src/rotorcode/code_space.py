@@ -22,6 +22,7 @@ c_l of a chosen angle-approximant family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,9 +172,16 @@ def _table_momenta(l_lo: int, l_hi: int, columns: int, reach: int) -> np.ndarray
     """
     if l_hi < l_lo:
         raise ValueError("need l_lo <= l_hi")
-    if (l_hi - l_lo + 1) * columns > MAX_TABLE_CELLS:
+    rows = l_hi - l_lo + 1
+    if rows * columns > MAX_TABLE_CELLS:
+        # past 2^64 the range is named by its size: a decimal of thousands of digits says
+        # nothing, and past 4300 digits Python refuses to form it
+        if max(abs(l_lo), abs(l_hi)) < 1 << 64:
+            momenta = f"momenta [{l_lo}, {l_hi}]"
+        else:
+            momenta = f"~10^{int((int(rows).bit_length() - 1) * math.log10(2))} momenta"
         raise ValueError(
-            f"table of momenta [{l_lo}, {l_hi}] with {columns} columns holds more "
+            f"table of {momenta} with {columns} columns holds more "
             f"than the cap of {MAX_TABLE_CELLS} cells"
         )
     wide = max(abs(l_lo), abs(l_hi), reach) >= 1 << 62
@@ -335,6 +343,10 @@ def _half_gamma_ratio(x: float) -> float:
 def _tg_height(xi: float) -> float:
     from scipy import special  # scipy loads on first use: import rotorcode stays light
     c = xi * math.sqrt(math.pi) * special.erf(math.pi * xi)
+    if c < sys.float_info.min:  # ~2 pi xi^2: subnormal or 0 below xi ~ 6e-155
+        raise NumericalError(
+            f"trunc-gauss xi={xi!r}: the envelope's norm xi sqrt(pi) erf(pi xi) underflows"
+        )
     return xi * math.sqrt(2.0 * math.pi) / math.sqrt(c)
 
 
@@ -348,12 +360,13 @@ def _tg_coefficients(xi: float, ls: np.ndarray) -> np.ndarray:
     # untruncated Gaussian minus the two tails beyond +-pi, written through
     # the Faddeeva function so nothing overflows
     from scipy import special
+    height = _tg_height(xi)
     l = ls.astype(np.float64)
     tails = special.wofz((l / xi + 1j * math.pi * xi) / math.sqrt(2.0)).real
     sign = np.where(ls % 2 == 0, 1.0, -1.0)
     edge = math.exp(-0.5 * (math.pi * xi) * (math.pi * xi))
     bracket = np.exp(-0.5 * (l / xi) ** 2) - sign * edge * tails
-    return _tg_height(xi) / (xi * math.sqrt(2.0 * math.pi)) * bracket
+    return height / (xi * math.sqrt(2.0 * math.pi)) * bracket
 
 
 def _cos_coefficients(gamma: float, ls: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorcode import code_space, pe_closed_form
-from rotorcode.cli import Settings, _emit, main
+from rotorcode.cli import Settings, _emit, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -605,6 +606,15 @@ def _address_space_1gb():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def run_child(*args, **kwargs):
+    """A fresh interpreter on this checkout's sources: python ARGS, text output."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60, **kwargs
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -620,14 +630,80 @@ def test_tables_past_the_cell_cap_exit_one_at_once(argv):
         "rc = main(sys.argv[1:]); print(f'elapsed={time.perf_counter() - t}', file=sys.stderr); "
         "sys.exit(rc)"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env,
-        preexec_fn=_address_space_1gb, timeout=60,
-    )
+    proc = run_child("-c", child, *argv, preexec_fn=_address_space_1gb)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "more than the cap of 33554432 cells" in proc.stderr
     assert float(proc.stderr.split("elapsed=")[1]) < 1.0
+
+
+@pytest.mark.parametrize("N", ["10000", "15000"])
+def test_tables_default_range_past_the_digit_limit_names_the_cap_briefly(N):
+    # the default range -m:m, m = 2^N, is never written in decimal before the cap refuses it:
+    # at N = 15000 that decimal passes Python's 4300-digit limit, at 10000 it filled 6 kB
+    proc = run_child("-m", "rotorcode", "tables", "--N", N)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "more than the cap of 33554432 cells" in proc.stderr
+    assert len(proc.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("codeword", "--family", "trunc-gauss", "--xi", "1e-300"),
+        ("codeword", "--family", "trunc-gauss", "--xi", "1e-170"),
+        ("codeword", "--family", "trunc-gauss", "--xi", "1e-300", "--window-half", "5"),
+        ("roundtrip", "--family", "trunc-gauss", "--xi", "1e-300", "--seed", "1"),
+    ],
+)
+def test_trunc_gauss_norm_underflow_at_tiny_xi_exits_two(argv):
+    # the norm xi sqrt(pi) erf(pi xi) ~ 2 pi xi^2 is 0 in a double here, and the height
+    # divides by its square root
+    proc = run_child("-m", "rotorcode", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    xi = float(argv[argv.index("--xi") + 1])
+    assert f"xi={xi!r}" in proc.stderr and "underflows" in proc.stderr
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    # count every ArgumentParser made: none on import, some on the first main call
+    child = textwrap.dedent("""
+        import argparse, os
+        made = []
+        init = argparse.ArgumentParser.__init__
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counted
+        import rotorcode.cli
+        print(len(made))
+        rotorcode.cli.main(["tables", "--N", "1", "--output", os.devnull])
+        print(len(made))
+    """)
+    proc = run_child("-c", child)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_main = map(int, proc.stdout.split())
+    assert at_import == 0 and after_main > 0
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # one process reuses one parser; each call must still behave as a fresh `python -m rotorcode`
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = cos-power\ngamma = 6\nN = 2\n")
+    sequence = [
+        ("pe", "--family", "trunc-gauss", "--xi", "3", "--N", "2"),
+        ("sweep", "--family", "grating", "--grid", "1:4:4", "--delta-L", "1"),
+        ("sweep", "--family", "trunc-gauss", "--grid", "1:3", "--method", "closd"),  # exit 1
+        ("pe", "--config", str(cfg), "--delta-L", "1"),
+        ("tables", "--N", "2", "--format", "pretty"),
+        ("pe", "--family", "trunc-gauss", "--xi", "3", "--N", "2"),
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in sequence]
+    fresh = [run_child("-m", "rotorcode", *argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 0, 0, 0]
+    for argv, ours, child in zip(sequence, in_process, fresh):
+        assert ours == (child.returncode, child.stdout, child.stderr), argv
