@@ -1,26 +1,25 @@
-"""Angular wavefunction kernels and the tabulated inverse-CDF sampler of sample_angle.
+"""Angular wavefunction kernels and the one rejection loop behind every angle draw.
 
 psi(theta) = sum_j a_j e^{i l_j theta} over a state's support (momenta l_j,
 amplitudes a_j) is evaluated two ways:
 
 * on the uniform grid theta_j = -pi + 2 pi j / M by one inverse FFT of the
-  amplitudes folded mod M (angle distributions, sample_angle);
-* at scattered angles by a chunked sum over the support (theta_wavefunction).
+  amplitudes folded mod M (angle distributions);
+* at scattered angles by a chunked sum over the support (theta_wavefunction,
+  sample_angle).
 
 The folding is integer arithmetic, so the grid path is exact for supports
 wider than M and for supports far from l = 0.
+
+rejection_draw is the one draw loop (Devroye, Non-Uniform Random Variate
+Generation, 1986, II.3): sample_angle and angle_deviation_sampler propose.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
-
-from .errors import NumericalError
-
-TWO_PI = 2.0 * math.pi
 
 
 def evaluate_psi(amps: np.ndarray, ls: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -51,30 +50,20 @@ def psi_on_grid(amps: np.ndarray, ls: np.ndarray, resolution: int) -> np.ndarray
     return M * np.fft.ifft(b)
 
 
-def grid_sampler(
-    densities: np.ndarray,
-) -> Callable[[np.random.Generator, int | None], np.ndarray | float]:
-    """sample_angle's inverse-CDF sampler for a density tabulated at theta_j = -pi + 2 pi j / M.
-
-    The M intervals close periodically through +pi; the cumulative
-    trapezoid is normalized and inverted by linear interpolation, so every
-    draw lies in [-pi, pi].  draw(rng, size) takes one uniform per draw.
-    """
-    dens = np.asarray(densities, dtype=np.float64)
-    M = dens.shape[0]
-    pts = -math.pi + TWO_PI * np.arange(M + 1) / M
-    closed = np.append(dens, dens[0])
-    steps = 0.5 * (closed[1:] + closed[:-1]) * np.diff(pts)
-    cdf = np.concatenate([[0.0], np.cumsum(steps)])
-    total = cdf[-1]
-    if not (math.isfinite(total) and total > 0.0):
-        raise NumericalError("angle density integrates to zero")
-    cdf /= total
-
-    def draw(rng: np.random.Generator, size: int | None = None):
-        return np.interp(rng.random(size), cdf, pts)
-
-    return draw
+PROPOSAL_BLOCK = 1 << 15  # proposals per round: memory stays flat for any draw count
 
 
-__all__ = ["evaluate_psi", "psi_on_grid", "grid_sampler"]
+def rejection_draw(propose: Callable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size draws kept from rounds of propose(rng, n) -> (n candidates, keep mask or slice),
+    each asking for twice the draws still missing, at most PROPOSAL_BLOCK."""
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        u, keep = propose(rng, min(PROPOSAL_BLOCK, 2 * (size - filled)))
+        got = u[keep][: size - filled]
+        out[filled : filled + got.size] = got
+        filled += got.size
+    return out
+
+
+__all__ = ["evaluate_psi", "psi_on_grid", "rejection_draw"]

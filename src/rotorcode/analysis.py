@@ -18,6 +18,7 @@ drawn exactly from each family's law.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -25,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import rejection_draw
 from .code_space import Approximant, CodeParams, _check_window_size, _envelope_images
 from .rotor_state import _reduce_angles
 
@@ -186,19 +188,15 @@ def pe_pure_guess(m: int) -> PeResult:
     return PeResult(value=p, method="pure_guess", error_estimate=0.0, log10_value=math.log10(p))
 
 
-PROPOSAL_BLOCK = 1 << 15  # proposals per round: memory stays flat for any trial count
-
-
 def angle_deviation_sampler(
     approx: Approximant,
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Exact sampler for angular deviations u ~ |Psi(u)|^2 / 2pi on [-pi, pi].
 
     Each family draws through the identity its p_e formula integrates (README
-    "p_e by quadrature"); trunc-gauss and the grating by rejection (Devroye,
-    Non-Uniform Random Variate Generation, 1986, II.3), keeping over half of
-    their proposals.  propose(rng, n) gives n candidates u and the mask (or
-    slice) of those kept.
+    "p_e by quadrature"); trunc-gauss and the grating by rejection, keeping over
+    half of their proposals.  propose(rng, n) gives n candidates u and the mask
+    (or slice) of those kept; draw(rng, size) is _kernels.rejection_draw on it.
     """
     p = approx.parameter
     if approx.family == "cosine_power":
@@ -244,17 +242,7 @@ def angle_deviation_sampler(
             bound = rng.random(n) * np.minimum((K * u) ** 2, math.pi**2) * np.sin(0.5 * u) ** 2
             return np.copysign(u, w), bound <= (u * np.sin(0.5 * K * u)) ** 2
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            u, keep = propose(rng, min(PROPOSAL_BLOCK, 2 * (size - filled)))
-            got = u[keep][: size - filled]
-            out[filled : filled + got.size] = got
-            filled += got.size
-        return out
-
-    return draw
+    return functools.partial(rejection_draw, propose)
 
 
 def pe_monte_carlo(

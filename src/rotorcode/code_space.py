@@ -365,7 +365,11 @@ def _tg_coefficients(xi: float, ls: np.ndarray) -> np.ndarray:
     tails = special.wofz((l / xi + 1j * math.pi * xi) / math.sqrt(2.0)).real
     sign = np.where(ls % 2 == 0, 1.0, -1.0)
     edge = math.exp(-0.5 * (math.pi * xi) * (math.pi * xi))
-    bracket = np.exp(-0.5 * (l / xi) ** 2) - sign * edge * tails
+    with np.errstate(over="ignore"):  # (l / xi)^2 = inf at tiny xi, and e^{-inf} = 0
+        bracket = np.exp(-0.5 * (l / xi) ** 2) - sign * edge * tails
+    y = math.pi * xi / math.sqrt(2.0)
+    if y < 0.5:  # at l = 0 the bracket 1 - e^{-y^2} Re w(iy) is erf(y), and cancels here
+        bracket[ls == 0] = special.erf(y)
     return height / (xi * math.sqrt(2.0 * math.pi)) * bracket
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import evaluate_psi, grid_sampler, psi_on_grid
+from ._kernels import evaluate_psi, psi_on_grid, rejection_draw
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,7 +121,9 @@ class AngleGrid:
         """Trapezoid integral of the density over one period, measure dtheta/2pi.
 
         The grid covers [-pi, pi) so the trapezoid closes periodically
-        through the wrap point at +pi.
+        through the wrap point at +pi.  The sum is 1 only when no two support
+        momenta share a residue mod M; otherwise the exact point values alias
+        (3.54 for an N = 14, delta_L = 1 trunc-gauss codeword at M = 4096).
         """
         closed = np.concatenate([self.densities, self.densities[:1]])
         pts = np.concatenate([self.points, [self.points[0] + TWO_PI]])
@@ -229,12 +231,22 @@ def sample_momentum(s: RotorState, rng: np.random.Generator) -> int:
     return int(s.support[rng.choice(probs.shape[0], p=probs)])
 
 
-def sample_angle(
-    s: RotorState, rng: np.random.Generator, resolution: int = 4096
-) -> float:
-    """Inverse-CDF draw of theta from |psi|^2, linear between grid points."""
-    grid = angle_distribution(s, resolution)
-    return float(grid_sampler(grid.densities)(rng))
+def sample_angle(s: RotorState, rng: np.random.Generator, resolution: int = 4096) -> float:
+    """Exact draw of theta in [-pi, pi) from |psi|^2: uniform theta kept when
+    U B <= |psi(theta)|^2, B = (sum |a_l|)^2 <= |support|.  A draw costs about
+    B |support| psi terms, O(S^2) for a dense support of S momenta.  resolution
+    is ignored; it stays for callers that pass it positionally."""
+    if not s.normalized:
+        raise ValueError("sample_angle requires a normalized state")
+    bound = float(np.sum(np.abs(s.values))) ** 2
+    spread = math.ceil(bound)  # n draws asked: spread * n proposals keep ~n
+
+    def propose(rng: np.random.Generator, n: int) -> tuple:
+        thetas = TWO_PI * rng.random(spread * n) - math.pi
+        dens = np.abs(evaluate_psi(s.values, s.support, thetas)) ** 2
+        return thetas, rng.random(spread * n) * bound <= dens
+
+    return float(rejection_draw(propose, rng, 1)[0])
 
 
 __all__ = [

@@ -668,6 +668,27 @@ def test_trunc_gauss_norm_underflow_at_tiny_xi_exits_two(argv):
     assert f"xi={xi!r}" in proc.stderr and "underflows" in proc.stderr
 
 
+@pytest.mark.parametrize("xi", ["1e-7", "1e-8", "1e-20"])
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_trunc_gauss_codeword_at_tiny_xi_exits_zero(capsys, xi, k):
+    # the l = 0 bracket cancelled there, and its lost mass read as "the default window
+    # is too narrow" (exit 2), which no window could mend
+    code, out, err = run_cli(capsys, "codeword", "--family", "trunc-gauss", "--xi", xi, "--k", k)
+    assert code == 0, err
+    assert out.splitlines()[2] == "l,amplitude_re,amplitude_im,probability"
+
+
+@pytest.mark.parametrize("xi", ["1e-150", "1e-154"])
+def test_trunc_gauss_codeword_whose_teeth_underflow_exits_one_without_a_warning(xi):
+    # numpy printed "RuntimeWarning: overflow encountered in square" before the message
+    proc = run_child("-W", "default", "-m", "rotorcode", "codeword", "--family", "trunc-gauss",
+                     "--xi", xi)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "the envelope underflows beyond it" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_parser_is_built_once_and_not_at_import():
     assert build_parser() is build_parser()
     # count every ArgumentParser made: none on import, some on the first main call

@@ -1,6 +1,7 @@
 """Code parameters, label algebra, table cells, ideal and approximate codewords."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,37 @@ def test_trunc_gauss_codeword_that_lost_mass_to_quadrature():
     approx = Approximant("truncated_gaussian", 26.29509364)
     word = logical_encode(params, 17, approx)
     assert float(np.sum(envelope_coefficients(approx, word.ls) ** 2)) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("xi", [0.1, 1e-7, 1e-8, 1e-20, 1e-100])
+def test_trunc_gauss_center_coefficient_keeps_every_bit_at_tiny_xi(xi):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    x = mp.mpf(xi)
+    # c_0 = erf(y) / sqrt(xi sqrt(pi) erf(pi xi)), y = pi xi / sqrt2; the bracket
+    # 1 - e^{-y^2} Re w(iy) cancelled to 1e-8 relative at xi = 1e-8 and to 0 at 1e-20
+    ref = mp.erf(mp.pi * x / mp.sqrt(2)) / mp.sqrt(x * mp.sqrt(mp.pi) * mp.erf(mp.pi * x))
+    c0 = envelope_coefficients(Approximant("truncated_gaussian", xi), np.array([0]))[0]
+    assert c0 == pytest.approx(float(ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("xi", [1e-7, 1e-8, 1e-20])
+@pytest.mark.parametrize("k", [0, 1])
+def test_trunc_gauss_codeword_at_tiny_xi(xi, k):
+    # psi is flat on [-pi, pi) to within xi: c_l for l != 0 is O(xi^2 / l^2)
+    word = logical_encode(CodeParams(2, 1, 0), k, Approximant("truncated_gaussian", xi))
+    assert word.normalized
+    if k == 0:
+        assert float(np.sum(np.abs(word.values[word.support != 0]) ** 2)) < 1e-20
+
+
+@pytest.mark.parametrize("xi", [1e-150, 1e-154])
+def test_trunc_gauss_codeword_whose_teeth_underflow_is_refused_without_warning(xi):
+    # (l / xi)^2 overflows to inf for every l != 0; e^{-inf} = 0 is right, and quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="with weight; the envelope underflows beyond it"):
+            logical_encode(CodeParams(2, 1, 0), 0, Approximant("truncated_gaussian", xi))
 
 
 def test_tiny_cosine_power_exponent_fails_before_allocating():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from rotorcode import (
     AngleGrid,
@@ -15,6 +16,7 @@ from rotorcode import (
     NumericalError,
     RotorState,
     angle_distribution,
+    approx_basis_state,
     centered_angle,
     centered_residue,
     fidelity,
@@ -25,6 +27,7 @@ from rotorcode import (
     measure_syndrome_expected,
     measure_syndrome_sampled,
     pad_state,
+    pe_quadrature,
     sample_angle,
     sample_momentum,
     theta_wavefunction,
@@ -345,6 +348,99 @@ def test_sample_angle_stays_in_range_when_density_peaks_at_pi():
     draws = np.array([sample_angle(s, rng, resolution=16) for _ in range(2000)])
     assert np.all((draws >= -math.pi) & (draws <= math.pi))
     assert np.mean(np.abs(draws) > math.pi / 2.0) > 0.75
+
+
+def _exact_angle_cdf(s, thetas):
+    """P(theta' <= theta) under |psi|^2 dtheta/2pi on [-pi, pi), in closed form:
+    (theta + pi)/2pi + sum_{j != k} a_j conj(a_k) (e^{i D theta} - (-1)^D) / (2 pi i D),
+    D = l_j - l_k."""
+    ls, vals = s.support, s.values
+    off = ~np.eye(ls.shape[0], dtype=bool)
+    d = (ls[:, None] - ls[None, :])[off]
+    w = (vals[:, None] * np.conj(vals[None, :]))[off]
+    th = np.atleast_1d(np.asarray(thetas, dtype=np.float64))[:, None]
+    terms = w * (np.exp(1j * d * th) - np.where(d % 2 == 0, 1.0, -1.0)) / (2j * math.pi * d)
+    return (th[:, 0] + math.pi) / (2.0 * math.pi) + terms.sum(axis=1).real
+
+
+def _fold(draws, g):
+    """g theta reduced into [-pi, pi): the place of theta within its period 2pi/g."""
+    return np.remainder(g * np.asarray(draws) + math.pi, 2.0 * math.pi) - math.pi
+
+
+def _folded_ks_pvalue(s, g, draws):
+    """KS p-value of the folded draws against the exact law, for |psi|^2 of period 2pi/g."""
+    lo = _exact_angle_cdf(s, -math.pi / g)[0]
+    return stats.kstest(
+        _fold(draws, g), lambda x: g * (_exact_angle_cdf(s, np.asarray(x) / g) - lo)
+    ).pvalue
+
+
+@pytest.mark.parametrize("N", [6, 8, 10, 12])
+def test_sample_angle_is_exact_on_a_codeword_comb(N):
+    # trunc-gauss xi = m, delta_L = 1: |psi|^2 has period 2pi/m and peaks at its multiples;
+    # a 4096-point grid holds ~5 points per period at N = 8, ~1.3 at N = 10 and 1/3 at
+    # N = 12, and its interpolated CDF put 0.67 (N = 8) and 0.22 (N = 10) of the draws near a peak
+    params = CodeParams(2, N, 1)
+    m = params.m
+    word = logical_encode(params, 1, Approximant("truncated_gaussian", m))
+    rng = np.random.default_rng(2800 + N)
+    draws = np.array([sample_angle(word, rng) for _ in range(2000)])
+    assert np.all((draws >= -math.pi) & (draws < math.pi))
+    share = m * float(np.diff(_exact_angle_cdf(word, [-1.0 / m, 1.0 / m]))[0])
+    assert share == pytest.approx(0.8426, abs=1e-4)
+    near = np.mean(np.abs(_fold(draws, m)) < 1.0)
+    assert abs(near - share) < 5.0 * math.sqrt(share * (1.0 - share) / draws.size)
+    assert _folded_ks_pvalue(word, m, draws) > 1e-3
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    l0=st.integers(-50, 50),
+    g=st.sampled_from([1, 3, 64, 1000, 3001]),
+    offsets=st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True),
+    mags=st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
+    phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(l0=7, g=3001, offsets=[0, 1, 3], mags=[1.0, 0.5, 0.8, 1.0, 1.0],
+         phases=[0.0, 1.0, 2.0, 0.0, 0.0], seed=1)
+def test_sample_angle_follows_the_exact_cdf_on_sparse_states(l0, g, offsets, mags, phases, seed):
+    # support l0 + g t: |psi|^2 has period 2pi/g, finer than a 4096-point grid resolves
+    # once g passes ~1000
+    s = make_state([(l0 + g * t, r * np.exp(1j * p)) for t, r, p in zip(offsets, mags, phases)])
+    rng = np.random.default_rng(seed)
+    draws = np.array([sample_angle(s, rng) for _ in range(400)])
+    assert np.all((draws >= -math.pi) & (draws < math.pi))
+    assert _folded_ks_pvalue(s, g, draws) > 1e-4
+    assert stats.kstest(draws, lambda x: _exact_angle_cdf(s, x)).pvalue > 1e-4
+
+
+@pytest.mark.parametrize(
+    "approx",
+    [
+        Approximant("truncated_gaussian", 2.0),
+        Approximant("cosine_power", 6.0),
+        Approximant("gaussian_envelope", 1.0),
+        Approximant("grating", 3),
+    ],
+    ids=lambda a: a.family,
+)
+def test_sample_angle_tail_matches_pe_quadrature(approx):
+    # p_e is the mass of |Psi|^2 beyond |u| = pi/m: 0.14, 0.35, 0.46 and 0.17 here at m = 6
+    m = 6
+    rng = np.random.default_rng(2806)
+    state = approx_basis_state(approx)
+    draws = np.array([sample_angle(state, rng) for _ in range(4000)])
+    pe = pe_quadrature(approx, m).value
+    tail = np.mean(np.abs(draws) > math.pi / m)
+    assert abs(tail - pe) < 5.0 * math.sqrt(pe * (1.0 - pe) / draws.size)
+
+
+def test_sample_angle_refuses_an_unnormalized_state():
+    unnormalized = from_amplitudes(0, np.array([2.0]), normalize=False)
+    with pytest.raises(ValueError, match="sample_angle requires a normalized state"):
+        sample_angle(unnormalized, np.random.default_rng(0))
 
 
 # The support layout against dense references: each reference is the
