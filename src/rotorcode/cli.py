@@ -181,6 +181,14 @@ def _get_range(s: Settings, default: tuple[int, int]) -> tuple[int, int]:
     return default if raw is None else _parse_int_range(raw)
 
 
+def _window(s: Settings) -> tuple[int, int] | tuple[None, None]:
+    """--window-half w as the window (-w, w); (None, None) for the default window."""
+    wh = s.get("window_half", int, None)
+    if wh is not None and wh < 1:
+        raise UsageError("--window-half must be >= 1")
+    return (None, None) if wh is None else (-wh, wh)
+
+
 def parse_grid(text: str) -> list[float]:
     """A:B (11 points), A:B:COUNT, a comma list, or a single value."""
     text = text.strip()
@@ -302,10 +310,7 @@ def cmd_codeword(s: Settings) -> int:
     params = _code_params(s)
     approx = _resolve_approx(s)
     k = s.get("k", int, 0)
-    wh = s.get("window_half", int, None)
-    if wh is not None and wh < 1:
-        raise UsageError("--window-half must be >= 1")
-    state = logical_encode(params, k, approx, *((-wh, wh) if wh is not None else ()))
+    state = logical_encode(params, k, approx, *_window(s))
     amps = state.values
     table = {
         "l": state.support,
@@ -367,8 +372,7 @@ def cmd_roundtrip(s: Settings) -> int:
     syndrome_mode = s.get("syndrome", str, "sampled")
     if syndrome_mode not in ("sampled", "expected"):
         raise UsageError("--syndrome must be sampled or expected")
-    wh = s.get("window_half", int, None)
-    lo, hi = (-wh, wh) if wh is not None else (None, None)
+    lo, hi = _window(s)
     rng = np.random.default_rng(seed)
     summary = run_round_trip(
         params, k, ErrorEvent(epsilon, kick), trials, rng,
@@ -509,6 +513,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(cfg) - set(vars(args)))
+        if unknown:
+            raise UsageError(f"{args.command} takes no config key {', '.join(unknown)}")
         settings = Settings(args, cfg)
         return args.func(settings)
     except ValueError as ex:  # UsageError included

@@ -254,6 +254,8 @@ def default_window_half(
 
 
 def _check_window_size(l_lo: int, l_hi: int) -> None:
+    if l_hi < l_lo:
+        raise ValueError("need l_lo <= l_hi")
     count = l_hi - l_lo + 1
     if count > MAX_WINDOW_MOMENTA:
         raise ValueError(
@@ -266,15 +268,13 @@ def ideal_comb(residue: int, period: int, l_lo: int, l_hi: int) -> RotorState:
     """Equal-weight normalized comb over l = residue (mod period) in a window."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    if l_hi < l_lo:
-        raise ValueError("need l_lo <= l_hi")
     _check_window_size(l_lo, l_hi)
     teeth = _teeth(residue, period, l_lo, l_hi)
     if teeth.size == 0:
         raise ValueError(
             f"no l = {residue} (mod {period}) inside [{l_lo}, {l_hi}]"
         )
-    return RotorState(l_lo, l_hi, teeth, np.full(teeth.size, 1.0 / math.sqrt(teeth.size)), True)
+    return RotorState(l_lo, l_hi, teeth, np.full(teeth.size, 1.0 / math.sqrt(teeth.size)))
 
 
 def _teeth(residue: int, period: int, l_lo: int, l_hi: int) -> np.ndarray:
@@ -482,7 +482,7 @@ def approx_codeword(
         zero = "is 0" if bandlimited else "underflows"
         fix = f"the envelope {zero} beyond it" if vanishes else "widen it"
         raise ValueError(f"window holds fewer than two comb teeth with weight; {fix}")
-    return RotorState(l_lo, l_hi, teeth, amps / math.sqrt(float(np.sum(amps**2))), True)
+    return RotorState(l_lo, l_hi, teeth, amps / math.sqrt(float(np.sum(amps**2))))
 
 
 def logical_encode(

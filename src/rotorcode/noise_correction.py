@@ -164,7 +164,7 @@ def measure_syndrome_sampled(
             f"sampled residue class {residue} (mod {r}) carries mass "
             f"{mass:.3e} < {RESIDUE_MASS_TOL:.0e}"
         )
-    collapsed = RotorState(s.l_min, s.l_max, s.support[mask], kept / math.sqrt(mass), True)
+    collapsed = RotorState(s.l_min, s.l_max, s.support[mask], kept / math.sqrt(mass))
 
     theta = _theta_residue_from_state(collapsed, params.m)
     return Syndrome(theta_residue=theta, q=centered_residue(residue, r)), collapsed

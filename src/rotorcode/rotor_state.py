@@ -8,9 +8,9 @@ momentum window [l_min, l_max]:
 
 with <theta|l> = e^{i l theta}.  Only the a_l != 0 are stored, in `values`,
 at the sorted momenta `support`, so every operation costs O(support), not
-O(window).  All angular densities and integrals use the measure
-dtheta/(2pi), under which a normalized state has a unit-mass angular
-density (Parseval).
+O(window).  Whether a state is normalized is read from `values`, never
+stored.  All angular densities and integrals use the measure dtheta/(2pi),
+under which a normalized state has a unit-mass angular density (Parseval).
 
 States are immutable values: every operation returns a fresh state.
 """
@@ -38,7 +38,6 @@ class RotorState:
     l_max: int
     support: np.ndarray
     values: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         if self.l_min > self.l_max:
@@ -56,14 +55,15 @@ class RotorState:
                 f"support must be sorted, distinct and inside the window "
                 f"[{self.l_min}, {self.l_max}]"
             )
-        if self.normalized:
-            norm2 = np.vdot(vals, vals).real
-            if abs(norm2 - 1.0) > NORM_TOL:
-                raise ValueError(f"normalized flag set but |a|^2 sums to {float(norm2)!r}")
         ls.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "support", ls)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def normalized(self) -> bool:
+        """|a|^2 sums to 1 within NORM_TOL."""
+        return abs(np.vdot(self.values, self.values).real - 1.0) <= NORM_TOL
 
     @property
     def ls(self) -> np.ndarray:
@@ -131,12 +131,12 @@ class AngleGrid:
 
 
 def _state(l_min: int, l_max: int, support, values, normalize: bool) -> RotorState:
-    nrm = np.linalg.norm(values)
     if normalize:
+        nrm = np.linalg.norm(values)
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero state")
         values = values / nrm
-    return RotorState(l_min, l_max, support, values, normalize or abs(nrm - 1.0) <= NORM_TOL)
+    return RotorState(l_min, l_max, support, values)
 
 
 def make_state(entries: list[tuple[int, complex]], normalize: bool = True) -> RotorState:

@@ -37,7 +37,6 @@ class ShiftDiagonalOperator:
     """
 
     terms: tuple[tuple[int, DiagonalFn], ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -77,11 +76,11 @@ def apply(op: ShiftDiagonalOperator, s: RotorState) -> RotorState:
     keep = out != 0
     if not keep.all():
         out_ls, out = out_ls[keep], out[keep]
-    return RotorState(lo, hi, out_ls, out, abs(np.linalg.norm(out) - 1.0) <= 1e-12)
+    return RotorState(lo, hi, out_ls, out)
 
 
 def identity() -> ShiftDiagonalOperator:
-    return ShiftDiagonalOperator(((0, lambda ls: np.ones(ls.shape[0])),), "1")
+    return momentum_shift(0)
 
 
 def angle_shift(alpha: float) -> ShiftDiagonalOperator:
@@ -91,14 +90,12 @@ def angle_shift(alpha: float) -> ShiftDiagonalOperator:
     def diag(ls: np.ndarray) -> np.ndarray:
         return np.exp(1j * a * ls)
 
-    return ShiftDiagonalOperator(((0, diag),), f"exp(i {a} L)")
+    return ShiftDiagonalOperator(((0, diag),))
 
 
 def momentum_shift(k: int) -> ShiftDiagonalOperator:
     """V^k: |l> -> |l + k>."""
-    return ShiftDiagonalOperator(
-        ((int(k), lambda ls: np.ones(ls.shape[0])),), f"V^{k}"
-    )
+    return ShiftDiagonalOperator(((int(k), lambda ls: np.ones(ls.shape[0])),))
 
 
 def qudit_pair(
@@ -132,14 +129,8 @@ def qudit_pair(
     def one_minus_top(ls: np.ndarray) -> np.ndarray:
         return ((ls // s) % d != d - 1).astype(np.complex128)
 
-    Z = ShiftDiagonalOperator(((0, z_diag),), f"Z_{j}^({d})")
-    X = ShiftDiagonalOperator(
-        (
-            (s, one_minus_top),
-            (s - d * s, digit_top_after_shift),
-        ),
-        f"X_{j}^({d})",
-    )
+    Z = ShiftDiagonalOperator(((0, z_diag),))
+    X = ShiftDiagonalOperator(((s, one_minus_top), (s - d * s, digit_top_after_shift)))
     return Z, X
 
 
@@ -171,7 +162,7 @@ def phase_gate(j: int, k: int, r: int = 1) -> ShiftDiagonalOperator:
         pk = (ls // sk) % 2
         return np.where((pj == 1) & (pk == 1), -1.0, 1.0).astype(np.complex128)
 
-    return ShiftDiagonalOperator(((0, diag),), f"R_{j}{k}")
+    return ShiftDiagonalOperator(((0, diag),))
 
 
 def stabilizer_ops(params) -> tuple[ShiftDiagonalOperator, ShiftDiagonalOperator]:
@@ -181,11 +172,7 @@ def stabilizer_ops(params) -> tuple[ShiftDiagonalOperator, ShiftDiagonalOperator
     def sl_diag(ls: np.ndarray) -> np.ndarray:
         return np.exp(2j * np.pi * (ls % r) / r)
 
-    s_theta = ShiftDiagonalOperator(
-        ((m, lambda ls: np.ones(ls.shape[0])),), "S_theta"
-    )
-    s_l = ShiftDiagonalOperator(((0, sl_diag),), "S_L")
-    return s_theta, s_l
+    return momentum_shift(m), ShiftDiagonalOperator(((0, sl_diag),))
 
 
 def residual_rotor_phase(alpha: float, m: int) -> ShiftDiagonalOperator:
@@ -195,7 +182,7 @@ def residual_rotor_phase(alpha: float, m: int) -> ShiftDiagonalOperator:
     def diag(ls: np.ndarray) -> np.ndarray:
         return np.exp(1j * a * (ls // m))
 
-    return ShiftDiagonalOperator(((0, diag),), f"exp(i {a} floor(L/{m}))")
+    return ShiftDiagonalOperator(((0, diag),))
 
 
 def compose(
@@ -215,7 +202,7 @@ def compose(
     terms = tuple(
         (sa + sb, product(fa, fb, sb)) for sa, fa in a.terms for sb, fb in b.terms
     )
-    return ShiftDiagonalOperator(terms, f"{a.label}.{b.label}")
+    return ShiftDiagonalOperator(terms)
 
 
 def _aligned_difference(x: RotorState, y: RotorState) -> float:
@@ -261,36 +248,24 @@ def scaled(op: ShiftDiagonalOperator, factor: complex) -> ShiftDiagonalOperator:
 
         return diag
 
-    return ShiftDiagonalOperator(
-        tuple((k, scale(f)) for k, f in op.terms), f"({factor})*{op.label}"
-    )
+    return ShiftDiagonalOperator(tuple((k, scale(f)) for k, f in op.terms))
 
 
-def random_probes(
-    rng: np.random.Generator,
-    count: int = 20,
-    window_half: int = 256,
-    support: int = 8,
-    margin: int = 64,
-) -> list[RotorState]:
-    """count >= 1 random sparse normalized states on [-window_half, window_half].
+def random_probes(rng: np.random.Generator, count: int = 20) -> list[RotorState]:
+    """count >= 1 random normalized states on the window [-256, 256].
 
-    Support momenta are drawn inside [-window_half + margin,
-    window_half - margin]; the margin only fixes that draw range.
+    Each draws 8 momenta in [-192, 192] with complex normal amplitudes; a
+    repeated momentum sums its draws.
     """
     if count < 1:
         raise ValueError(f"need at least one probe state, got {count}")
-    if margin >= window_half:
-        raise ValueError("margin must be smaller than window_half")
     probes = []
     for _ in range(count):
-        ls = rng.integers(
-            -window_half + margin, window_half - margin + 1, size=support
-        )
-        amps = rng.normal(size=support) + 1j * rng.normal(size=support)
-        buf = np.zeros(2 * window_half + 1, dtype=np.complex128)
-        np.add.at(buf, ls + window_half, amps)  # a repeated momentum sums its draws
-        probes.append(from_amplitudes(-window_half, buf))
+        ls = rng.integers(-192, 193, size=8)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        buf = np.zeros(513, dtype=np.complex128)
+        np.add.at(buf, ls + 256, amps)
+        probes.append(from_amplitudes(-256, buf))
     return probes
 
 
@@ -313,9 +288,7 @@ def invariant_residuals(
     one = identity()
     X1, Z1 = qubit_X(1, r), qubit_Z(1, r)
     if corrupt:
-        X1 = ShiftDiagonalOperator(
-            X1.terms + scaled(momentum_shift(-r), 0.5e-6).terms, "X_1(corrupted)"
-        )
+        X1 = ShiftDiagonalOperator(X1.terms + scaled(momentum_shift(-r), 0.5e-6).terms)
     # the literal qubit pair, the reference of the two "qudit d=2" rows
     Z_lit = ShiftDiagonalOperator(((0, lambda ls: 1.0 - 2.0 * ((ls // r) % 2)),))
     half_1pZ = scaled(ShiftDiagonalOperator(one.terms + Z_lit.terms), 0.5)

@@ -728,3 +728,26 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     assert [code for code, _, _ in in_process] == [0, 0, 1, 0, 0, 0]
     for argv, ours, child in zip(sequence, in_process, fresh):
         assert ours == (child.returncode, child.stdout, child.stderr), argv
+
+
+@pytest.mark.parametrize("command", [("codeword",), ("roundtrip", "--trials", "5", "--seed", "1")])
+@pytest.mark.parametrize("family", [(), ("--family", "trunc-gauss", "--xi", "5")])
+@pytest.mark.parametrize("half", ["0", "-3"])
+def test_window_half_below_one_is_bad_input(capsys, command, family, half):
+    # bad input (exit 1) in both commands, not a window that misses the envelope (exit 2)
+    code, out, err = run_cli(capsys, *command, *family, f"--window-half={half}")
+    assert (code, out) == (1, "")
+    assert "--window-half must be >= 1" in err
+
+
+def test_config_key_the_command_does_not_take_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("family = trunc-gauss\nxi = 3\ntrails = 5\ngrid = 1:2\n")
+    code, out, err = run_cli(capsys, "pe", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "pe takes no config key grid, trails" in err
+    # the same keys are fine where the command reads them
+    cfg.write_text("family = trunc-gauss\ngrid = 1:2:2\ntrials = 5\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0, err
+    assert "grid=1:2:2" in out.splitlines()[0]

@@ -478,3 +478,15 @@ def test_logical_encode_accepts_digits_or_index():
     assert fidelity(
         logical_encode(params, 2, approx), approx_codeword(params, 2, approx)
     ) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("family", [("grating", 2.0), ("truncated_gaussian", 3.0)])
+def test_a_reversed_window_is_bad_input(family):
+    # refused as bad input before any envelope-mass check can call it a numerical failure
+    approx = Approximant(*family)
+    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
+        approx_codeword(CodeParams(), 0, approx, 3, -3)
+    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
+        approx_basis_state(approx, 0.0, 3, -3)
+    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
+        ideal_comb(0, 2, 3, -3)

@@ -15,26 +15,33 @@ from rotorcode import (
     CodeParams,
     NumericalError,
     RotorState,
+    ShiftDiagonalOperator,
     angle_distribution,
+    apply,
     approx_basis_state,
+    approx_codeword,
     centered_angle,
     centered_residue,
     fidelity,
     from_amplitudes,
+    ideal_comb,
+    identity,
     inner,
     logical_encode,
     make_state,
     measure_syndrome_expected,
     measure_syndrome_sampled,
+    momentum_shift,
     pad_state,
     pe_quadrature,
     sample_angle,
     sample_momentum,
+    scaled,
     theta_wavefunction,
 )
 from rotorcode._kernels import evaluate_psi, psi_on_grid
 from rotorcode.noise_correction import EXPECTATION_TOL, RESIDUE_MASS_TOL, _vm_expectation
-from rotorcode.rotor_state import _reduce_angles
+from rotorcode.rotor_state import NORM_TOL, _reduce_angles
 from rotorcode.weyl_algebra import _aligned_difference
 
 
@@ -64,13 +71,11 @@ def test_make_state_rejects_bad_input(entries, message):
 
 def test_rotor_state_validation():
     with pytest.raises(ValueError, match="empty window"):
-        RotorState(3, 1, np.zeros(0, dtype=np.int64), np.zeros(0), normalized=False)
+        RotorState(3, 1, np.zeros(0, dtype=np.int64), np.zeros(0))
     with pytest.raises(ValueError, match="does not match"):
-        RotorState(0, 2, np.arange(2), np.zeros(3), normalized=False)
+        RotorState(0, 2, np.arange(2), np.zeros(3))
     with pytest.raises(ValueError, match="non-finite"):
-        RotorState(0, 0, np.array([0]), np.array([np.nan + 0j]), normalized=False)
-    with pytest.raises(ValueError, match="normalized flag"):
-        RotorState(0, 1, np.array([0, 1]), np.array([1.0, 1.0], dtype=complex), normalized=True)
+        RotorState(0, 0, np.array([0]), np.array([np.nan + 0j]))
 
 
 def test_amplitudes_are_immutable():
@@ -586,15 +591,75 @@ def test_constructor_rejects_a_malformed_support(ls, pad):
     ls = sorted(ls)
     lo, hi = ls[0] - pad, ls[-1] + pad
     vals = np.ones(len(ls), dtype=np.complex128)
-    assert RotorState(lo, hi, ls, vals, normalized=False).support.tolist() == ls
+    assert RotorState(lo, hi, ls, vals).support.tolist() == ls
     bad = "sorted, distinct and inside the window"
     with pytest.raises(ValueError, match=bad):  # unsorted
-        RotorState(lo, hi, [ls[1], ls[0], *ls[2:]], vals, normalized=False)
+        RotorState(lo, hi, [ls[1], ls[0], *ls[2:]], vals)
     with pytest.raises(ValueError, match=bad):  # a duplicate momentum
-        RotorState(lo, hi, [ls[0], *ls[:-1]], vals, normalized=False)
+        RotorState(lo, hi, [ls[0], *ls[:-1]], vals)
     with pytest.raises(ValueError, match=bad):  # the lowest momentum below the window
-        RotorState(ls[0] + 1, hi, ls, vals, normalized=False)
+        RotorState(ls[0] + 1, hi, ls, vals)
     with pytest.raises(ValueError, match=bad):  # the highest momentum above it
-        RotorState(lo, ls[-1] - 1, ls, vals, normalized=False)
+        RotorState(lo, ls[-1] - 1, ls, vals)
     with pytest.raises(ValueError, match="does not match"):
-        RotorState(lo, hi, ls, vals[:-1], normalized=False)
+        RotorState(lo, hi, ls, vals[:-1])
+
+
+def test_a_norm_just_past_the_tolerance_is_unnormalized_not_an_error():
+    # |a| = 1 + 0.8e-12 is within 1e-12 of 1, but |a|^2 = 1 + 1.6e-12 is past NORM_TOL
+    f = 1 + 0.8e-12
+    states = [
+        make_state([(0, f)], normalize=False),
+        from_amplitudes(0, np.array([f]), normalize=False),
+        apply(scaled(identity(), f), make_state([(0, 1.0)])),
+    ]
+    for s in states:
+        assert not s.normalized
+        assert s.values.tolist() == [f]
+
+
+def _norm_within_tolerance(s):
+    return abs(np.vdot(s.values, s.values).real - 1.0) <= NORM_TOL
+
+
+@SUPPORT_PROPERTY
+@given(
+    s=patterned_states(),
+    factor=st.sampled_from([1.0, 1 + 0.4e-12, 1 - 0.4e-12, 1 + 0.8e-12, 1 - 0.8e-12, 0.5, 3.0]),
+    normalize=st.booleans(),
+    shift=st.integers(-7, 7),
+    period=st.integers(1, 9),
+    residue=st.integers(-20, 20),
+    family=st.sampled_from([("truncated_gaussian", 3.0), ("cosine_power", 9.0),
+                            ("gaussian_envelope", 2.0), ("grating", 4.0)]),
+    kick=st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normalized_is_read_from_the_values(
+    s, factor, normalize, shift, period, residue, family, kick, seed
+):
+    if s.norm() == 0.0:
+        return  # the zero state cannot be normalized
+    unit = from_amplitudes(s.l_min, s.amplitudes)
+    entries = [(int(l), a * factor) for l, a in zip(unit.support, unit.values)]
+    params = CodeParams(2, 1, 1)  # m = 6, r = 3
+    word = approx_codeword(params, 1, Approximant(*family))
+    # word plus a kicked copy: two residue classes mod r, one kept by the collapse
+    mixed = apply(ShiftDiagonalOperator(identity().terms + scaled(momentum_shift(1), kick).terms),
+                  word)
+    mixed = from_amplitudes(mixed.l_min, mixed.amplitudes)
+    _, collapsed = measure_syndrome_sampled(mixed, params, np.random.default_rng(seed))
+    built = [
+        make_state(entries, normalize=normalize),
+        from_amplitudes(unit.l_min, unit.amplitudes * factor, normalize=normalize),
+        apply(scaled(momentum_shift(shift), factor), unit),
+        apply(scaled(identity(), factor), s),
+        ideal_comb(residue, period, -30, 30),
+        word,
+        collapsed,
+    ]
+    for state in built:
+        assert state.normalized == _norm_within_tolerance(state)
+    if normalize:
+        assert built[0].normalized and built[1].normalized
+    assert all(state.normalized for state in built[4:])

@@ -39,7 +39,7 @@ def basis(l, pad=4):
 
 def test_operator_requires_terms():
     with pytest.raises(ValueError, match="at least one term"):
-        ShiftDiagonalOperator((), "empty")
+        ShiftDiagonalOperator(())
 
 
 def test_identity_and_momentum_shift_actions():
@@ -194,13 +194,12 @@ def test_commutator_and_difference_norms():
 
 def test_random_probes_respect_margin():
     rng = np.random.default_rng(7)
-    probes = random_probes(rng, count=10, window_half=64, support=5, margin=16)
+    probes = random_probes(rng, count=10)
     for p in probes:
         lo, hi = p.support_hull()
-        assert lo >= -64 + 16 and hi <= 64 - 16
+        assert (p.l_min, p.l_max) == (-256, 256)
+        assert lo >= -192 and hi <= 192
         assert p.normalized
-    with pytest.raises(ValueError, match="margin"):
-        random_probes(rng, margin=300, window_half=100)
 
 
 @pytest.mark.parametrize("r", [1, 3])
