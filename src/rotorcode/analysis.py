@@ -28,6 +28,7 @@ import numpy as np
 
 from ._kernels import rejection_draw
 from .code_space import Approximant, CodeParams, _check_window_size, _envelope_images
+from .errors import NumericalError
 from .rotor_state import _reduce_angles
 
 LOG10_FLOOR = -300.0  # below this, report value 0.0 and keep log10_value
@@ -176,6 +177,8 @@ def pe_asymptotic(xi: float, m: int) -> PeResult:
         raise ValueError("xi must be positive")
     _check_period(m)
     a = math.pi * xi / m
+    if a * a == 0.0:
+        raise NumericalError(f"asymptotic p_e at xi={xi!r}: (pi xi / m)^2 underflows")
     ln_p = -a * a + math.log(m / (math.pi**1.5 * xi))
     p = math.exp(ln_p)
     return _with_floor(p, ln_p / math.log(10.0), "asymptotic", p / (2.0 * a * a))
@@ -277,13 +280,13 @@ def compute_pe(
     """One-call dispatcher over the estimation routes."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    approx = Approximant(family, parameter)  # every method refuses a bad parameter
     if method == "pure_guess":
         return pe_pure_guess(m)
     if method in ("closed_form", "asymptotic"):
         if family != "truncated_gaussian":
             raise ValueError(f"{method} is only defined for truncated_gaussian")
         return (pe_closed_form if method == "closed_form" else pe_asymptotic)(parameter, m)
-    approx = Approximant(family, parameter)
     if method == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo needs a seeded random generator")

@@ -181,14 +181,6 @@ def _get_range(s: Settings, default: tuple[int, int]) -> tuple[int, int]:
     return default if raw is None else _parse_int_range(raw)
 
 
-def _window(s: Settings) -> tuple[int, int] | tuple[None, None]:
-    """--window-half w as the window (-w, w); (None, None) for the default window."""
-    wh = s.get("window_half", int, None)
-    if wh is not None and wh < 1:
-        raise UsageError("--window-half must be >= 1")
-    return (None, None) if wh is None else (-wh, wh)
-
-
 def parse_grid(text: str) -> list[float]:
     """A:B (11 points), A:B:COUNT, a comma list, or a single value."""
     text = text.strip()
@@ -310,7 +302,7 @@ def cmd_codeword(s: Settings) -> int:
     params = _code_params(s)
     approx = _resolve_approx(s)
     k = s.get("k", int, 0)
-    state = logical_encode(params, k, approx, *_window(s))
+    state = logical_encode(params, k, approx, s.get("window_half", int, None))
     amps = state.values
     table = {
         "l": state.support,
@@ -372,11 +364,11 @@ def cmd_roundtrip(s: Settings) -> int:
     syndrome_mode = s.get("syndrome", str, "sampled")
     if syndrome_mode not in ("sampled", "expected"):
         raise UsageError("--syndrome must be sampled or expected")
-    lo, hi = _window(s)
+    window_half = s.get("window_half", int, None)
     rng = np.random.default_rng(seed)
     summary = run_round_trip(
         params, k, ErrorEvent(epsilon, kick), trials, rng,
-        approx=approx, l_lo=lo, l_hi=hi, syndrome_mode=syndrome_mode,
+        approx=approx, window_half=window_half, syndrome_mode=syndrome_mode,
     )
     comment = (
         f"summary: trials={summary.trials} angle_errors={summary.angle_errors} "
@@ -513,7 +505,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(cfg) - set(vars(args)))
+        # command, func and config are the parser's own entries, not settings
+        unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "func", "config"}))
         if unknown:
             raise UsageError(f"{args.command} takes no config key {', '.join(unknown)}")
         settings = Settings(args, cfg)

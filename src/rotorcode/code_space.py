@@ -16,7 +16,8 @@ base-d digits carrying the logical content, and t the residual rotor index.
 
 Ideal codewords are equal-weight combs over l = k r (mod m); physical
 (normalizable) codewords weight the comb teeth with the momentum envelope
-c_l of a chosen angle-approximant family.
+c_l of a chosen angle-approximant family.  Every codeword lies on a window
+[-W, W]: W = window_half, or default_window_half's when that is None.
 """
 
 from __future__ import annotations
@@ -249,13 +250,11 @@ def default_window_half(
         elif approx.family == "grating":
             need = max(need, int(p))
     w = m * int(math.ceil(need / m))
-    _check_window_size(-w, w)
+    _check_window_half(w)
     return w
 
 
 def _check_window_size(l_lo: int, l_hi: int) -> None:
-    if l_hi < l_lo:
-        raise ValueError("need l_lo <= l_hi")
     count = l_hi - l_lo + 1
     if count > MAX_WINDOW_MOMENTA:
         raise ValueError(
@@ -264,42 +263,40 @@ def _check_window_size(l_lo: int, l_hi: int) -> None:
         )
 
 
-def ideal_comb(residue: int, period: int, l_lo: int, l_hi: int) -> RotorState:
-    """Equal-weight normalized comb over l = residue (mod period) in a window."""
+def _check_window_half(w: int) -> None:
+    if w < 1:
+        raise ValueError("window_half must be >= 1")
+    _check_window_size(-w, w)
+
+
+def ideal_comb(residue: int, period: int, window_half: int) -> RotorState:
+    """Equal-weight normalized comb over l = residue (mod period) in [-W, W]."""
     if period < 1:
         raise ValueError("period must be >= 1")
-    _check_window_size(l_lo, l_hi)
-    teeth = _teeth(residue, period, l_lo, l_hi)
+    w = window_half
+    _check_window_half(w)
+    teeth = _teeth(residue, period, w)
     if teeth.size == 0:
-        raise ValueError(
-            f"no l = {residue} (mod {period}) inside [{l_lo}, {l_hi}]"
-        )
-    return RotorState(l_lo, l_hi, teeth, np.full(teeth.size, 1.0 / math.sqrt(teeth.size)))
+        raise ValueError(f"no l = {residue} (mod {period}) inside [{-w}, {w}]")
+    return RotorState(-w, w, teeth, np.full(teeth.size, 1.0 / math.sqrt(teeth.size)))
 
 
-def _teeth(residue: int, period: int, l_lo: int, l_hi: int) -> np.ndarray:
-    """The momenta l = residue (mod period) inside [l_lo, l_hi], ascending.
+def _teeth(residue: int, period: int, w: int) -> np.ndarray:
+    """The momenta l = residue (mod period) inside [-w, w], ascending.
 
     Python ints until the window bounds them: a period past int64 gives at
     most one tooth, not an OverflowError.
     """
-    first = min(l_lo + (residue - l_lo) % period, l_hi + 1)
-    return np.arange(first, l_hi + 1, min(period, l_hi - l_lo + 1), dtype=np.int64)
+    first = min(-w + (residue + w) % period, w + 1)
+    return np.arange(first, w + 1, min(period, 2 * w + 1), dtype=np.int64)
 
 
-def ideal_codeword(
-    params: CodeParams,
-    k: int,
-    l_lo: int | None = None,
-    l_hi: int | None = None,
-) -> RotorState:
-    """Equal-weight comb codeword |k>: teeth on l = k r (mod m)."""
+def ideal_codeword(params: CodeParams, k: int, window_half: int | None = None) -> RotorState:
+    """Equal-weight comb codeword |k>: teeth on l = k r (mod m) in [-W, W]."""
     if not 0 <= k < params.n:
         raise ValueError(f"logical index {k} outside [0, {params.n})")
-    if l_lo is None or l_hi is None:
-        w = default_window_half(params, None)
-        l_lo, l_hi = -w, w
-    state = ideal_comb((k * params.r) % params.m, params.m, l_lo, l_hi)
+    w = default_window_half(params) if window_half is None else window_half
+    state = ideal_comb((k * params.r) % params.m, params.m, w)
     if state.support.shape[0] < 2:
         raise ValueError("window holds fewer than two comb teeth; widen it")
     return state
@@ -418,87 +415,79 @@ def envelope_coefficients(approx: Approximant, ls: np.ndarray) -> np.ndarray:
 
 
 def _enveloped_window(
-    approx: Approximant, params: CodeParams, l_lo: int | None, l_hi: int | None
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """The window (default_window_half's when not given), its momenta and the
-    envelope c_l on them; refuses a window that misses more than TAIL_TOL of
-    the envelope's mass."""
-    given = l_lo is not None and l_hi is not None
-    if not given:
-        w = default_window_half(params, approx)
-        l_lo, l_hi = -w, w
-    _check_window_size(l_lo, l_hi)
-    ls = np.arange(l_lo, l_hi + 1)
+    approx: Approximant, params: CodeParams, window_half: int | None
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """W, the momenta -W..W and the envelope c_l on them; refuses a window that
+    misses more than TAIL_TOL of the envelope's mass, twice the tail past W."""
+    w = default_window_half(params, approx) if window_half is None else window_half
+    _check_window_half(w)
+    ls = np.arange(-w, w + 1)
     cs = envelope_coefficients(approx, ls)
     tail = 1.0 - float(np.sum(np.abs(cs) ** 2))
     if tail > TAIL_TOL:
-        fix = "widen the window" if given else "the default window is too narrow"
+        fix = "the default window is too narrow" if window_half is None else "widen the window"
         raise NumericalError(
-            f"momentum window [{l_lo}, {l_hi}] misses envelope mass "
+            f"momentum window [{-w}, {w}] misses envelope mass "
             f"{tail:.3e} > {TAIL_TOL:.0e}; {fix}"
         )
-    return l_lo, l_hi, ls, cs
+    return w, ls, cs
 
 
 def approx_basis_state(
     approx: Approximant,
     theta0: float = 0.0,
-    l_lo: int | None = None,
-    l_hi: int | None = None,
+    window_half: int | None = None,
     params: CodeParams | None = None,
 ) -> RotorState:
-    """Normalizable angle state centered at theta0: sum_l c_l e^{-i l theta0}|l>."""
-    l_lo, l_hi, ls, cs = _enveloped_window(approx, params or CodeParams(), l_lo, l_hi)
-    return from_amplitudes(l_lo, cs * np.exp(-1j * float(theta0) * ls))
+    """Normalizable angle state centered at theta0: sum_{|l| <= W} c_l e^{-i l theta0}|l>."""
+    w, ls, cs = _enveloped_window(approx, params or CodeParams(), window_half)
+    return from_amplitudes(-w, cs * np.exp(-1j * float(theta0) * ls))
 
 
 def approx_codeword(
     params: CodeParams,
     k: int,
     approx: Approximant,
-    l_lo: int | None = None,
-    l_hi: int | None = None,
+    window_half: int | None = None,
 ) -> RotorState:
     """Physical codeword |k>: the m angle states at theta_j = 2 pi j / m,
     superposed with phases e^{2 i pi k j / n}.
 
     The phases cancel every momentum except l = k r (mod m), leaving the
-    envelope-weighted comb; the result is renormalized on its window.
+    envelope-weighted comb on [-W, W]; the result is renormalized there.
     """
     if not 0 <= k < params.n:
         raise ValueError(f"logical index {k} outside [0, {params.n})")
-    l_lo, l_hi, _, cs = _enveloped_window(approx, params, l_lo, l_hi)
-    teeth = _teeth(k * params.r, params.m, l_lo, l_hi)
-    amps = cs[teeth - l_lo]
+    w, _, cs = _enveloped_window(approx, params, window_half)
+    teeth = _teeth(k * params.r, params.m, w)
+    amps = cs[teeth + w]
     weighted = amps != 0
     teeth, amps = teeth[weighted], amps[weighted]
     if teeth.shape[0] < 2:
-        # no wider window helps once the envelope is 0 on both sides of one about 0
-        beyond = envelope_coefficients(approx, np.array([l_lo - 1, l_hi + 1]))
-        vanishes = l_lo <= 0 <= l_hi and not beyond.any()
+        # no wider window helps once the envelope is 0 on both sides of it
+        vanishes = not envelope_coefficients(approx, np.array([-w - 1, w + 1])).any()
         bandlimited = approx.family == "grating" or (
             approx.family == "cosine_power" and approx.parameter % 2 == 0
         )
         zero = "is 0" if bandlimited else "underflows"
         fix = f"the envelope {zero} beyond it" if vanishes else "widen it"
         raise ValueError(f"window holds fewer than two comb teeth with weight; {fix}")
-    return RotorState(l_lo, l_hi, teeth, amps / math.sqrt(float(np.sum(amps**2))))
+    return RotorState(-w, w, teeth, amps / math.sqrt(float(np.sum(amps**2))))
 
 
 def logical_encode(
     params: CodeParams,
     k: int | Sequence[int],
     approx: Approximant | None = None,
-    l_lo: int | None = None,
-    l_hi: int | None = None,
+    window_half: int | None = None,
 ) -> RotorState:
-    """Encode logical index k (or a digit tuple); approx=None gives the ideal comb."""
+    """Encode logical index k (or a digit tuple) on [-W, W]; approx=None gives the ideal comb."""
     if not isinstance(k, (int, np.integer)):
         k = digits_to_k(k, params.d)
     k = int(k)
     if approx is None:
-        return ideal_codeword(params, k, l_lo, l_hi)
-    return approx_codeword(params, k, approx, l_lo, l_hi)
+        return ideal_codeword(params, k, window_half)
+    return approx_codeword(params, k, approx, window_half)
 
 
 __all__ = [

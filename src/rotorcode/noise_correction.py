@@ -214,8 +214,7 @@ def run_round_trip(
     trials: int,
     rng: np.random.Generator,
     approx: Approximant | None = None,
-    l_lo: int | None = None,
-    l_hi: int | None = None,
+    window_half: int | None = None,
     syndrome_mode: str = "sampled",
 ) -> RoundTripSummary:
     """Encode, corrupt, diagnose, correct; classify the logical outcome.
@@ -227,6 +226,7 @@ def run_round_trip(
     (e - q)/r, nonzero mod n being a logical momentum error.  The
     state-level encode/corrupt/correct pass is deterministic for the fixed
     channel, so its fidelity against the original codeword is computed once.
+    The codeword spans [-window_half, window_half], default_window_half's if None.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -236,7 +236,7 @@ def run_round_trip(
     m, r, n = params.m, params.r, params.n
 
     # state-level pass (deterministic for the fixed event)
-    codeword = logical_encode(params, k, approx, l_lo, l_hi)
+    codeword = logical_encode(params, k, approx, window_half)
     corrupted = apply_error(codeword, event)
     if syndrome_mode == "sampled":
         syndrome, post = measure_syndrome_sampled(corrupted, params, rng)

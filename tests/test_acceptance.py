@@ -22,7 +22,6 @@ from rotorcode.code_space import (
     Approximant,
     CodeParams,
     ideal_codeword,
-    ideal_comb,
 )
 from rotorcode.noise_correction import (
     ErrorEvent,
@@ -30,7 +29,7 @@ from rotorcode.noise_correction import (
     correct,
     measure_syndrome_expected,
 )
-from rotorcode.rotor_state import fidelity, inner
+from rotorcode.rotor_state import fidelity, inner, make_state
 from rotorcode.weyl_algebra import apply, invariant_residuals, phase_gate, qubit_X
 
 
@@ -245,8 +244,10 @@ def test_criterion_10_round_trip_recovery_and_definite_failure():
                 # next logical index: u = (l - q)/r grows by exactly one
                 corrected = _round_trip(word, params, 0.0, delta_l + 1)
                 fid_orig = fidelity(corrected, word)
+                # the next codeword's equal-weight comb on the corrected state's hull
                 lo, hi = corrected.support_hull()
-                wrong = ideal_comb((((k + 1) % n) * r) % m, m, lo, hi)
+                residue = (((k + 1) % n) * r) % m
+                wrong = make_state([(l, 1.0) for l in range(lo, hi + 1) if (l - residue) % m == 0])
                 fid_wrong = fidelity(corrected, wrong)
                 assert fid_orig < 1e-10, (
                     f"N={n_qubits}, dL={delta_l}, k={k}, e={delta_l + 1}: "
@@ -296,7 +297,10 @@ def test_criterion_12_logical_gate_semantics():
             moved = apply(op, ideal_codeword(params, k))
             lo, hi = moved.support_hull()
             target_k = k ^ (1 << (j - 1))
-            fid = fidelity(moved, ideal_comb((target_k * r) % m, m, lo, hi))
+            target = make_state(
+                [(l, 1.0) for l in range(lo, hi + 1) if (l - target_k * r) % m == 0]
+            )
+            fid = fidelity(moved, target)
             assert fid > 1.0 - 1e-12, (
                 f"X_{j} on |{k}>: fidelity vs |{target_k}> is {fid:.15f}"
             )

@@ -21,6 +21,7 @@ import rotorcode
 from rotorcode import (
     Approximant,
     CodeParams,
+    NumericalError,
     SweepSpec,
     angle_deviation_sampler,
     compute_pe,
@@ -292,7 +293,7 @@ step("tables --binary", lambda: cli.main(["tables", "--binary"]))
 step("check", lambda: cli.main(["check", "--delta-L", "1", "--seed", "1"]))
 step("codeword ideal", lambda: cli.main(["codeword", "--family", "ideal", "--N", "3"]))
 params = rotorcode.CodeParams(d=2, N=2, delta_L=1)
-word = rotorcode.ideal_codeword(params, 1, -60, 60)
+word = rotorcode.ideal_codeword(params, 1, 60)
 op = wa.compose(wa.qubit_X(1, params.r), wa.phase_gate(1, 2, params.r))
 step("operator algebra", lambda: int(wa.apply(op, word).amplitudes.size == 0))
 for family, flag in (("trunc-gauss", "--xi"), ("cos-power", "--gamma"), ("gauss-env", "--sigma"),
@@ -542,6 +543,30 @@ def test_underflow_keeps_log_magnitude():
     asym = pe_asymptotic(60.0, 6)
     assert asym.value == 0.0
     assert asym.log10_value < LOG10_FLOOR
+
+
+@pytest.mark.parametrize("xi", [1e-170, 1e-320])
+def test_asymptotic_error_estimate_whose_divisor_underflows_is_a_numerical_failure(xi):
+    # the estimate p / 2a^2 divided by zero once a = pi xi / m squares to 0
+    with pytest.raises(NumericalError, match=f"xi={xi!r}"):
+        pe_asymptotic(xi, 2)
+    # where a^2 is still a subnormal the row stands, its estimate overflowing to inf
+    assert pe_asymptotic(1e-160, 2).error_estimate == math.inf
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "family, parameter, message",
+    [
+        ("truncated_gaussian", math.nan, "positive and finite"),
+        ("truncated_gaussian", math.inf, "positive and finite"),
+        ("truncated_gaussian", -3.0, "positive and finite"),
+        ("grating", 2.5, "integer"),
+    ],
+)
+def test_every_method_refuses_a_bad_family_parameter(method, family, parameter, message):
+    with pytest.raises(ValueError, match=message):
+        compute_pe(family, parameter, 6, method, trials=10, rng=np.random.default_rng(1))
 
 
 def test_pure_guess_values():

@@ -736,8 +736,7 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
 def test_window_half_below_one_is_bad_input(capsys, command, family, half):
     # bad input (exit 1) in both commands, not a window that misses the envelope (exit 2)
     code, out, err = run_cli(capsys, *command, *family, f"--window-half={half}")
-    assert (code, out) == (1, "")
-    assert "--window-half must be >= 1" in err
+    assert (code, out, err) == (1, "", "error: window_half must be >= 1\n")
 
 
 def test_config_key_the_command_does_not_take_is_bad_input(tmp_path, capsys):
@@ -751,3 +750,58 @@ def test_config_key_the_command_does_not_take_is_bad_input(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 0, err
     assert "grid=1:2:2" in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("line", ["command = sweep", "func = x", "config = /nonexistent"])
+def test_config_cannot_set_the_parsers_own_entries(tmp_path, capsys, line):
+    # vars(args) holds command, func and config too; none of them is a setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"family = trunc-gauss\nxi = 3\n{line}\n")
+    code, out, err = run_cli(capsys, "pe", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: pe takes no config key {line.split()[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, xi",
+    [
+        (("pe", "--family", "trunc-gauss", "--xi", "1e-170"), 1e-170),
+        (("pe", "--family", "trunc-gauss", "--xi", "1e-320"), 1e-320),
+        (("sweep", "--family", "trunc-gauss", "--grid", "1e-170,1"), 1e-170),
+    ],
+)
+def test_asymptotic_pe_whose_exponent_underflows_exits_two(capsys, argv, xi):
+    code, out, err = run_cli(capsys, *argv, "--method", "asymptotic")
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: asymptotic p_e at xi={xi!r}: (pi xi / m)^2 underflows\n"
+    # one decade of xi up, (pi xi / m)^2 is a subnormal and the row prints as before
+    code, out, err = run_cli(capsys, "pe", "--family", "trunc-gauss", "--xi", "1e-160",
+                             "--method", "asymptotic")
+    _, header, rows = parse_csv(out)
+    assert code == 0 and rows[0][header.index("error_estimate")] == "inf"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("pe", "--family", "trunc-gauss", "--xi", "nan", "--method", "closed-form"),
+         "approximant parameter must be positive and finite"),
+        (("sweep", "--family", "trunc-gauss", "--grid", "1,nan,3", "--method", "closed-form"),
+         "approximant parameter must be positive and finite"),
+        (("pe", "--family", "trunc-gauss", "--xi", "inf", "--method", "closed-form"),
+         "approximant parameter must be positive and finite"),
+        (("pe", "--family", "trunc-gauss", "--xi", "nan", "--method", "asymptotic"),
+         "approximant parameter must be positive and finite"),
+        (("pe", "--family", "trunc-gauss", "--xi", "-3", "--method", "pure-guess"),
+         "approximant parameter must be positive and finite"),
+        (("pe", "--family", "grating", "--slits", "2.5", "--method", "pure-guess"),
+         "grating parameter must be an integer >= 1"),
+        (("pe", "--family", "cos-power", "--gamma", "nan", "--method", "quadrature"),
+         "approximant parameter must be positive and finite"),
+        (("pe", "--family", "gauss-env", "--sigma", "-1", "--method", "monte-carlo", "--seed", "1"),
+         "approximant parameter must be positive and finite"),
+    ],
+)
+def test_every_pe_method_refuses_a_bad_family_parameter(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -217,21 +217,21 @@ def test_binary_labels_validation():
 # --- ideal codewords ---------------------------------------------------------
 
 def test_ideal_comb_teeth_and_normalization():
-    s = ideal_comb(1, 4, -8, 8)
+    s = ideal_comb(1, 4, 8)
     teeth = [l for l in range(-8, 9) if (l - 1) % 4 == 0]
     assert s.norm() == pytest.approx(1.0)
     for l in teeth:
         assert s.amplitude_at(l) == pytest.approx(1.0 / math.sqrt(len(teeth)))
     assert s.amplitude_at(0) == 0.0
     with pytest.raises(ValueError, match="no l"):
-        ideal_comb(1, 4, 2, 4)
+        ideal_comb(2, 4, 1)
     with pytest.raises(ValueError, match="period"):
-        ideal_comb(0, 0, -4, 4)
+        ideal_comb(0, 0, 4)
 
 
 def test_ideal_codeword_residues_and_orthogonality():
     params = CodeParams(d=2, N=2, delta_L=1)  # m=12
-    words = [ideal_codeword(params, k, -24, 24) for k in range(4)]
+    words = [ideal_codeword(params, k, 24) for k in range(4)]
     for k, w in enumerate(words):
         nonzero = [int(l) for l in w.ls if abs(w.amplitude_at(int(l))) > 0]
         assert all(l % 12 == (3 * k) % 12 for l in nonzero)
@@ -247,7 +247,7 @@ def test_ideal_codeword_default_window_and_guards():
     with pytest.raises(ValueError, match="outside"):
         ideal_codeword(params, 2)
     with pytest.raises(ValueError, match="fewer than two comb teeth"):
-        ideal_codeword(params, 0, -2, 2)
+        ideal_codeword(params, 0, 2)
 
 
 # --- envelopes ----------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_tiny_cosine_power_exponent_fails_before_allocating():
     with pytest.raises(ValueError, match="more than the cap"):
         default_window_half(CodeParams(), approx)
     with pytest.raises(ValueError, match="more than the cap"):
-        approx_codeword(CodeParams(), 0, Approximant("cosine_power", 6.0), -2**40, 2**40)
+        approx_codeword(CodeParams(), 0, Approximant("cosine_power", 6.0), 2**40)
 
 
 def test_gaussian_envelope_coefficients():
@@ -375,9 +375,9 @@ def test_grating_coefficients_are_flat():
 
 def test_tail_guard_rejects_underresolved_envelopes():
     with pytest.raises(NumericalError, match="widen the window"):
-        approx_basis_state(Approximant("cosine_power", 0.5), l_lo=-8, l_hi=8)
+        approx_basis_state(Approximant("cosine_power", 0.5), window_half=8)
     # a generous window passes
-    approx_basis_state(Approximant("truncated_gaussian", 4.0), l_lo=-60, l_hi=60)
+    approx_basis_state(Approximant("truncated_gaussian", 4.0), window_half=60)
 
 
 # --- approximate codewords -----------------------------------------------------
@@ -385,7 +385,7 @@ def test_tail_guard_rejects_underresolved_envelopes():
 def test_approx_basis_state_centering_phases():
     theta0 = 0.9
     s = approx_basis_state(
-        Approximant("truncated_gaussian", 3.0), theta0, l_lo=-40, l_hi=40
+        Approximant("truncated_gaussian", 3.0), theta0, window_half=40
     )
     assert s.norm() == pytest.approx(1.0)
     peak = abs(theta_wavefunction(s, theta0))
@@ -397,19 +397,19 @@ def test_approx_codeword_comb_structure():
     params = CodeParams(d=2, N=2, delta_L=1)  # m=12, teeth at 3k mod 12
     approx = Approximant("truncated_gaussian", 3.0)
     for k in range(4):
-        w = approx_codeword(params, k, approx, -48, 48)
+        w = approx_codeword(params, k, approx, 48)
         assert w.norm() == pytest.approx(1.0)
         nonzero = [int(l) for l in w.ls if abs(w.amplitude_at(int(l))) > 1e-14]
         assert all(l % 12 == 3 * k % 12 for l in nonzero)
-    w0 = approx_codeword(params, 0, approx, -48, 48)
-    w1 = approx_codeword(params, 1, approx, -48, 48)
+    w0 = approx_codeword(params, 0, approx, 48)
+    w1 = approx_codeword(params, 1, approx, 48)
     assert abs(inner(w0, w1)) == 0.0
 
 
 def test_approx_codeword_amplitudes_follow_the_envelope():
     params = CodeParams(d=2, N=1, delta_L=1)  # m=6
     approx = Approximant("gaussian_envelope", 3.0)
-    w = approx_codeword(params, 0, approx, -30, 30)
+    w = approx_codeword(params, 0, approx, 30)
     teeth = np.arange(-30, 31, 6)
     env = np.exp(-(teeth**2) / 18.0)
     env = env / np.linalg.norm(env)
@@ -419,18 +419,18 @@ def test_approx_codeword_amplitudes_follow_the_envelope():
 
 def test_flat_grating_codeword_equals_ideal_comb():
     params = CodeParams(d=2, N=1, delta_L=1)
-    w = approx_codeword(params, 1, Approximant("grating", 30.0), -30, 30)
-    ideal = ideal_codeword(params, 1, -30, 30)
+    w = approx_codeword(params, 1, Approximant("grating", 30.0), 30)
+    ideal = ideal_codeword(params, 1, 30)
     assert fidelity(w, ideal) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_approx_codeword_guards():
     params = CodeParams(d=2, N=1, delta_L=1)
     with pytest.raises(ValueError, match="fewer than two comb teeth with weight; the envelope is 0"):
-        approx_codeword(params, 0, Approximant("grating", 2.0), -2, 2)
+        approx_codeword(params, 0, Approximant("grating", 2.0), 2)
     # the teeth at |l| = 6, just past the window, carry c_l = 1e-8: a wider one holds them
     with pytest.raises(ValueError, match="fewer than two comb teeth with weight; widen it"):
-        approx_codeword(params, 0, Approximant("gaussian_envelope", 1.0), -5, 5)
+        approx_codeword(params, 0, Approximant("gaussian_envelope", 1.0), 5)
     # c_l ~ e^{-200 l^2} is not 0 at the teeth l = +-2, it only underflows there
     with pytest.raises(ValueError, match="with weight; the envelope underflows beyond it"):
         approx_codeword(CodeParams(d=2, N=1), 0, Approximant("gaussian_envelope", 0.05))
@@ -480,13 +480,55 @@ def test_logical_encode_accepts_digits_or_index():
     ) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("family", [("grating", 2.0), ("truncated_gaussian", 3.0)])
-def test_a_reversed_window_is_bad_input(family):
+@pytest.mark.parametrize("half", [0, -3])
+def test_a_window_half_below_one_is_bad_input(half):
     # refused as bad input before any envelope-mass check can call it a numerical failure
-    approx = Approximant(*family)
-    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
-        approx_codeword(CodeParams(), 0, approx, 3, -3)
-    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
-        approx_basis_state(approx, 0.0, 3, -3)
-    with pytest.raises(ValueError, match="need l_lo <= l_hi"):
-        ideal_comb(0, 2, 3, -3)
+    for approx in (None, Approximant("grating", 2.0), Approximant("truncated_gaussian", 3.0)):
+        with pytest.raises(ValueError, match="window_half must be >= 1"):
+            logical_encode(CodeParams(), 0, approx, half)
+        if approx is not None:
+            with pytest.raises(ValueError, match="window_half must be >= 1"):
+                approx_codeword(CodeParams(), 0, approx, half)
+            with pytest.raises(ValueError, match="window_half must be >= 1"):
+                approx_basis_state(approx, 0.0, half)
+    with pytest.raises(ValueError, match="window_half must be >= 1"):
+        ideal_codeword(CodeParams(), 0, half)
+    with pytest.raises(ValueError, match="window_half must be >= 1"):
+        ideal_comb(0, 2, half)
+
+
+PARAMETERS = {
+    "truncated_gaussian": st.floats(0.5, 30.0),
+    "cosine_power": st.floats(1.0, 40.0),
+    "gaussian_envelope": st.floats(0.5, 30.0),
+    "grating": st.integers(1, 40).map(float),
+}
+APPROXIMANTS = st.one_of(
+    st.none(),
+    st.sampled_from(sorted(PARAMETERS)).flatmap(
+        lambda family: PARAMETERS[family].map(lambda p: Approximant(family, p))
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 3),
+    N=st.integers(1, 2),
+    delta_L=st.integers(0, 1),
+    k=st.integers(0, 8),
+    approx=APPROXIMANTS,
+    theta0=st.floats(-math.pi, math.pi),
+)
+def test_window_half_none_is_the_default_window_half(d, N, delta_L, k, approx, theta0):
+    params = CodeParams(d, N, delta_L)
+    k %= params.n
+    w = default_window_half(params, approx)
+    pairs = [(logical_encode(params, k, approx), logical_encode(params, k, approx, w))]
+    if approx is not None:
+        pairs.append((approx_basis_state(approx, theta0, None, params),
+                      approx_basis_state(approx, theta0, w, params)))
+    for default, explicit in pairs:
+        assert (default.l_min, default.l_max) == (explicit.l_min, explicit.l_max) == (-w, w)
+        assert np.array_equal(default.support, explicit.support)
+        assert np.array_equal(default.values, explicit.values)

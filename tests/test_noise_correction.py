@@ -165,7 +165,7 @@ def test_error_event_validation():
 
 
 def test_apply_error_is_the_exact_rigid_channel():
-    word = ideal_codeword(PARAMS, 1, -24, 24)
+    word = ideal_codeword(PARAMS, 1, 24)
     eps, e = 0.21, 2
     out = apply_error(word, ErrorEvent(eps, e))
     # diagonal drift then kick: a_l -> e^{i eps l} a_{l-e}
@@ -175,7 +175,7 @@ def test_apply_error_is_the_exact_rigid_channel():
 
 
 def test_expected_syndrome_reads_exact_drift_and_kick():
-    word = ideal_codeword(PARAMS, 0, -24, 24)
+    word = ideal_codeword(PARAMS, 0, 24)
     eps, e = 0.31, 1
     syn = measure_syndrome_expected(apply_error(word, ErrorEvent(eps, e)), PARAMS)
     assert syn.theta_residue == pytest.approx(eps, abs=1e-12)
@@ -186,7 +186,7 @@ def test_expected_syndrome_reads_exact_drift_and_kick():
 
 
 def test_sampled_syndrome_collapses_onto_residue_class():
-    word = ideal_codeword(TWO_QUBIT, 1, -36, 36)  # teeth at 3 mod 12
+    word = ideal_codeword(TWO_QUBIT, 1, 36)  # teeth at 3 mod 12
     damaged = apply_error(word, ErrorEvent(0.05, 1))
     rng = np.random.default_rng(5)
     syn, post = measure_syndrome_sampled(damaged, TWO_QUBIT, rng)
@@ -213,13 +213,13 @@ def test_angular_syndrome_needs_window_wider_than_m():
 
 def test_angular_syndrome_undefined_when_expectation_vanishes():
     # equal comb with period 2m has <V^m> = 0 on matched support
-    state = ideal_comb(0, 12, -24, 24)
+    state = ideal_comb(0, 12, 24)
     with pytest.raises(NumericalError, match="numerically zero"):
         measure_syndrome_expected(state, PARAMS)
 
 
 def test_in_bound_error_round_trip_restores_the_codeword():
-    word = ideal_codeword(PARAMS, 1, -24, 24)
+    word = ideal_codeword(PARAMS, 1, 24)
     for eps in (-0.4, 0.0, 0.3):
         for e in (-1, 0, 1):
             damaged = apply_error(word, ErrorEvent(eps, e))
@@ -229,7 +229,7 @@ def test_in_bound_error_round_trip_restores_the_codeword():
 
 
 def test_out_of_bound_kick_lands_on_the_wrong_codeword():
-    word = ideal_codeword(PARAMS, 0, -24, 24)
+    word = ideal_codeword(PARAMS, 0, 24)
     damaged = apply_error(word, ErrorEvent(0.0, 2))  # beyond delta_L = 1
     syn = measure_syndrome_expected(damaged, PARAMS)
     assert syn.q == -1  # 2 aliases to -1 mod 3
@@ -237,12 +237,12 @@ def test_out_of_bound_kick_lands_on_the_wrong_codeword():
     assert fidelity(fixed, word) < 1e-20
     # the survivor is the other codeword's comb on the shifted support hull
     lo, hi = fixed.support_hull(cutoff=1e-12)
-    wrong = ideal_comb(3, 6, lo, hi)
+    wrong = make_state([(l, 1.0) for l in range(lo, hi + 1) if l % 6 == 3])
     assert fidelity(fixed, wrong) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_approximant_drift_correction_is_exact_for_rigid_drifts():
-    word = approx_codeword(PARAMS, 0, Approximant("truncated_gaussian", 3.0), -30, 30)
+    word = approx_codeword(PARAMS, 0, Approximant("truncated_gaussian", 3.0), 30)
     damaged = apply_error(word, ErrorEvent(0.27, 0))
     syn = measure_syndrome_expected(damaged, PARAMS)
     assert syn.theta_residue == pytest.approx(0.27, abs=1e-12)
@@ -307,7 +307,7 @@ def test_round_trip_columns_agree_with_the_counts(eps, kick, xi, seed):
     approx = None if xi is None else Approximant("truncated_gaussian", xi)
     summary = run_round_trip(
         PARAMS, 1, ErrorEvent(eps, kick), 40, np.random.default_rng(seed),
-        approx=approx, l_lo=-60, l_hi=60,
+        approx=approx, window_half=60,
     )
     assert np.array_equal(summary.angle_error, summary.wrap != 0)
     assert summary.angle_errors == np.count_nonzero(summary.angle_error)
@@ -321,7 +321,7 @@ def test_round_trip_approximant_rate_tracks_tail_mass():
     rng = np.random.default_rng(2026)
     approx = Approximant("truncated_gaussian", 2.0)
     summary = run_round_trip(
-        PARAMS, 0, ErrorEvent(0.0, 0), 20_000, rng, approx=approx, l_lo=-30, l_hi=30
+        PARAMS, 0, ErrorEvent(0.0, 0), 20_000, rng, approx=approx, window_half=30
     )
     p_ref = 0.13861697183973642  # frozen closed-form tail for xi=2, m=6
     assert abs(summary.error_rate - p_ref) < 4.0 * summary.standard_error

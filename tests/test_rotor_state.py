@@ -654,7 +654,7 @@ def test_normalized_is_read_from_the_values(
         from_amplitudes(unit.l_min, unit.amplitudes * factor, normalize=normalize),
         apply(scaled(momentum_shift(shift), factor), unit),
         apply(scaled(identity(), factor), s),
-        ideal_comb(residue, period, -30, 30),
+        ideal_comb(residue, period, 30),
         word,
         collapsed,
     ]
